@@ -45,7 +45,6 @@ class PipelineConfig:
     lnp_metric: str = "geodesic"
     nonnegative_weights: bool = True
     propagate_tol: float = 1e-9
-    propagate_max_iters: int = 10000
     smacof_iters: int = 500
     smacof_tol: float = 1e-9
     # sweep / metrics

@@ -96,10 +96,10 @@ def build_cooccurrence(corpus: Iterable[Iterable[str]]) -> HashtagGraph:
 def edge_pvalue(n_i: int, n_j: int, k: int, n_total: int) -> float:
     """Probability of observing exactly ``k`` co-occurrences by chance.
 
-    Evaluated as the product form in log space (sum of logs of the factors),
-    which equals the hypergeometric PMF
-    C(n_i,k)·C(N-n_i,n_j-k)/C(N,n_j). Clamped to [0,1] only against
-    floating-point excursions.
+    The hypergeometric PMF C(n_i,k)·C(N-n_i,n_j-k)/C(N,n_j), evaluated as a
+    sum of log binomials (differences of log-factorials via ``math.lgamma``),
+    so each call costs O(1). Clamped to [0,1] only against floating-point
+    excursions.
     """
     if not (0 <= k <= min(n_i, n_j)):
         raise ValueError(f"require 0 <= k <= min(n_i, n_j), got k={k}, n_i={n_i}, n_j={n_j}")
@@ -107,17 +107,19 @@ def edge_pvalue(n_i: int, n_j: int, k: int, n_total: int) -> float:
         raise ValueError("occurrence counts cannot exceed the tweet count")
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
-    log_p = 0.0
-    for m in range(n_j - k):
-        factor = 1.0 - n_i / (n_total - m)
-        if factor <= 0.0:
-            return 0.0
-        log_p += math.log(factor)
-    for m in range(k):
-        log_p += math.log(n_i - m) + math.log(n_j - m)
-        log_p -= math.log(n_total - n_j + k - m) + math.log(k - m)
+    if n_j - k > n_total - n_i:
+        return 0.0
+    log_p = (
+        _log_comb(n_i, k)
+        + _log_comb(n_total - n_i, n_j - k)
+        - _log_comb(n_total, n_j)
+    )
     p = math.exp(log_p)
     return min(max(p, 0.0), 1.0)
+
+
+def _log_comb(n: int, r: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
 
 
 def significance_filter(graph: HashtagGraph, p_o: float = 1e-6) -> HashtagGraph:

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_mds
 
-DIVERGENCE_LIMIT = 1e6
-
 # structurally rank-deficient local Gram systems (k above the ambient
 # dimension) get the standard LLE conditioning; otherwise the system is
 # solved exactly, falling back to a tiny ridge only on singular input
 STRUCTURAL_RIDGE = 1e-3
 FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
+# active-set rounds after which a nonnegative solve is reported unsettled
+MAX_PIVOT_ROUNDS = 200
+# a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
+DUAL_TOL = 1e-10
 
 
 @dataclass
@@ -25,10 +27,13 @@ class WeightMatrix:
 
     ``indices[i]`` lists point i's k neighbors and ``weights[i]`` their
     coefficients, which sum to one per row; entries may be negative.
+    ``fallback_rows`` lists the rows whose local Gram system was singular
+    and needed a ``FALLBACK_RIDGES`` ridge.
     """
 
     indices: np.ndarray  # (n, k) int
     weights: np.ndarray  # (n, k) float
+    fallback_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def n_points(self) -> int:
@@ -42,75 +47,136 @@ class WeightMatrix:
         return self.weights.sum(axis=1)
 
 
-def _regularized(gram: np.ndarray, k: int, ambient_dim: int) -> np.ndarray:
-    if k <= ambient_dim:
-        return gram
-    trace = float(np.trace(gram))
-    ridge = STRUCTURAL_RIDGE * (trace / k if trace > 0.0 else 1.0)
-    return gram + ridge * np.eye(k)
-
-
-def _affine_solve(gram: np.ndarray, k: int) -> np.ndarray:
-    ones = np.ones(k)
+def _stacked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a[i] x[i] = b[i] for every i; singular systems give NaN rows."""
     try:
-        w = np.linalg.solve(gram, ones)
-        if np.isfinite(w).all() and abs(w.sum()) > 1e-12:
-            return w / w.sum()
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        pass
-    trace = float(np.trace(gram))
-    scale = trace / k if trace > 0.0 else 1.0
-    for eps in FALLBACK_RIDGES:
-        try:
-            w = np.linalg.solve(gram + eps * scale * np.eye(k), ones)
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(w).all() and abs(w.sum()) > 1e-12:
-            return w / w.sum()
-    raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+        out = np.full(b.shape, np.nan)
+        for i in range(a.shape[0]):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _simplex_solve(gram: np.ndarray, k: int, max_pivots: int = 200) -> np.ndarray:
-    """Minimize w'Gw subject to sum(w)=1, w>=0 (Lawson-Hanson active set).
+def _gram(diffs: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """Local Gram matrices D D' + ridge I of a stack of difference arrays."""
+    gram = np.einsum("nid,njd->nij", diffs, diffs)
+    diag = np.arange(diffs.shape[1])
+    gram[:, diag, diag] += ridge[:, None]
+    return gram
 
-    KKT: on the free set w is the normalized solution of G_ff w = 1; clamped
-    coordinates need dual value 2(Gw)_j - lambda >= 0.
+
+def _unusable(solutions: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(solutions).all(axis=1) | (np.abs(solutions.sum(axis=1)) <= 1e-12)
+
+
+def _free_solve(diffs: np.ndarray, ridge: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve G_FF s_F = 1 on each row's free set F, with s = 0 off it.
+
+    The free neighbors' differences are gathered at the size of the largest
+    free set; padding gets zero differences and a unit diagonal."""
+    size = free.sum(axis=1)
+    order = np.argsort(~free, axis=1, kind="stable")[:, : int(size.max())]
+    pad = np.arange(order.shape[1]) >= size[:, None]
+    gathered = np.take_along_axis(diffs, order[:, :, None], axis=1)
+    gathered[pad] = 0.0
+    system = _gram(gathered, ridge)
+    diag = np.arange(order.shape[1])
+    system[:, diag, diag] += pad
+    out = np.zeros(free.shape)
+    np.put_along_axis(out, order, _stacked_solve(system, (~pad).astype(float)), axis=1)
+    return out
+
+
+def _nonnegative_active_set(
+    diffs: np.ndarray, ridge: np.ndarray, unconstrained: np.ndarray
+) -> np.ndarray:
+    """Lawson-Hanson active set for min v'Gv/2 - 1'v subject to v >= 0,
+    with G = D D' + ridge I per row.
+
+    Its solution normalized to sum one minimizes w'Gw over the simplex (the
+    KKT conditions agree, with multiplier 2/sum(v)). Rows whose unconstrained
+    solution is positive are done. The others start from v = 0 with the
+    neighbors of positive unconstrained weight free, and each round solves
+    all their free systems at once: a row whose free solution is positive
+    takes it and frees the clamped neighbor of largest dual 1 - (Gv)_j (or
+    is done if none is positive); a row whose free solution is not steps
+    toward it until the first neighbor reaches zero, and clamps it.
     """
-    trace = float(np.trace(gram))
-    scale = trace / k if trace > 0.0 else 1.0
-    free = np.ones(k, dtype=bool)
-    w = np.full(k, 1.0 / k)
-    for _ in range(max_pivots):
-        idx = np.where(free)[0]
-        sub = gram[np.ix_(idx, idx)]
-        try:
-            wf = np.linalg.solve(sub, np.ones(idx.size))
-        except np.linalg.LinAlgError:
-            wf = np.linalg.solve(
-                sub + FALLBACK_RIDGES[0] * scale * np.eye(idx.size), np.ones(idx.size)
-            )
-        total = wf.sum()
-        if not np.isfinite(wf).all() or abs(total) < 1e-12:
-            wf = np.linalg.solve(
-                sub + STRUCTURAL_RIDGE * scale * np.eye(idx.size), np.ones(idx.size)
-            )
-            total = wf.sum()
-        wf = wf / total
-        if wf.min() < -1e-12:
-            free[idx[int(np.argmin(wf))]] = False
-            if not free.any():
-                return np.full(k, 1.0 / k)
-            continue
-        w = np.zeros(k)
-        w[idx] = np.clip(wf, 0.0, None)
-        w /= w.sum()
-        lam = 2.0 / max(total, 1e-300)
-        dual = 2.0 * (gram @ w) - lam
-        clamped = np.where(~free)[0]
-        if clamped.size == 0 or dual[clamped].min() >= -1e-9 * max(abs(lam), 1.0):
-            return w
-        free[clamped[int(np.argmin(dual[clamped]))]] = True
-    return w
+    free = unconstrained > 0.0
+    live = ~free.all(axis=1)
+    v = np.where(live[:, None], 0.0, unconstrained)
+    optimal = ~live  # v solves the problem on its free set
+    for _ in range(MAX_PIVOT_ROUNDS):
+        rows = np.flatnonzero(live & optimal)
+        if rows.size:
+            d, x = diffs[rows], v[rows]
+            dual = 1.0 - np.einsum("rkd,rd->rk", d, np.einsum("rkd,rk->rd", d, x))
+            dual -= ridge[rows, None] * x
+            dual[free[rows]] = -np.inf
+            enter = np.argmax(dual, axis=1)
+            settled = dual[np.arange(rows.size), enter] <= DUAL_TOL
+            live[rows[settled]] = False
+            free[rows[~settled], enter[~settled]] = True
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        s = _free_solve(diffs[rows], ridge[rows], free[rows])
+        blocked = free[rows] & (s <= 0.0)
+        infeasible = blocked.any(axis=1)
+        v[rows[~infeasible]] = s[~infeasible]
+        optimal[rows] = ~infeasible
+        rows, s, blocked = rows[infeasible], s[infeasible], blocked[infeasible]
+        if rows.size:
+            x = v[rows]
+            step = np.full(x.shape, np.inf)
+            step[blocked] = 0.0  # x_j = s_j = 0 unless x_j > s_j
+            np.divide(x, x - s, out=step, where=blocked & (x > s))
+            leave = np.argmin(step, axis=1)
+            x += step[np.arange(rows.size), leave][:, None] * (s - x)
+            x[np.arange(rows.size), leave] = 0.0
+            clamp = blocked & (x <= 0.0)
+            x[clamp] = 0.0
+            free[rows] &= ~clamp
+            v[rows] = x
+    if live.any():
+        warnings.warn(
+            f"nonnegative weight solve did not settle within {MAX_PIVOT_ROUNDS} "
+            f"rounds for {int(live.sum())} rows"
+        )
+    return v
+
+
+def _local_weights(
+    diffs: np.ndarray, structural: bool, nonnegative: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of every point's local Gram system at once, from the (n, k, d)
+    differences to its neighbors; returns (weights, fallback rows)."""
+    n, k, _ = diffs.shape
+    scale = np.einsum("nkd,nkd->n", diffs, diffs) / k  # trace(G) / k
+    scale[scale <= 0.0] = 1.0
+    ridge = STRUCTURAL_RIDGE * scale if structural else np.zeros(n)
+    ones = np.ones((n, k))
+    solutions = _stacked_solve(_gram(diffs, ridge), ones)
+    fallback = np.flatnonzero(_unusable(solutions))
+    pending = fallback
+    for eps in FALLBACK_RIDGES:
+        if pending.size == 0:
+            break
+        trial = ridge[pending] + eps * scale[pending]
+        retried = _stacked_solve(_gram(diffs[pending], trial), ones[pending])
+        ok = ~_unusable(retried)
+        ridge[pending[ok]] = trial[ok]
+        solutions[pending[ok]] = retried[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+    if nonnegative:
+        solutions = _nonnegative_active_set(diffs, ridge, solutions)
+    return solutions / solutions.sum(axis=1, keepdims=True), fallback
 
 
 def reconstruction_weights(
@@ -122,10 +188,10 @@ def reconstruction_weights(
     """Weights that best reconstruct each point from its k nearest neighbors.
 
     Neighbors are ranked under ``metric`` (geodesic ranks by shortest-path
-    distance over the point cloud); the local Gram system G w = 1 is solved
-    per point and normalized to sum to one. ``nonnegative=True`` adds the
-    w >= 0 constraint, which makes the downstream propagation matrix
-    sub-stochastic and therefore contractive.
+    distance over the point cloud); the local Gram systems G w = 1 of all
+    points are solved together and normalized to sum to one.
+    ``nonnegative=True`` adds the w >= 0 constraint, which makes the
+    downstream propagation matrix sub-stochastic and therefore contractive.
     """
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
@@ -138,15 +204,9 @@ def reconstruction_weights(
     else:
         raise ValueError(f"unknown metric: {metric}")
     neighbors = knn_sets(dist, k)
-    weights = np.empty((n, k))
-    for i in range(n):
-        diffs = points[i] - points[neighbors[i]]
-        gram = _regularized(diffs @ diffs.T, k, dim)
-        if nonnegative:
-            weights[i] = _simplex_solve(gram, k)
-        else:
-            weights[i] = _affine_solve(gram, k)
-    return WeightMatrix(indices=neighbors, weights=weights)
+    diffs = points[:, None, :] - points[neighbors]
+    weights, fallback = _local_weights(diffs, k > dim, nonnegative)
+    return WeightMatrix(indices=neighbors, weights=weights, fallback_rows=fallback)
 
 
 def unfold(
@@ -163,19 +223,33 @@ def unfold(
     return coords
 
 
+def _reaching_rows(weight_matrix: WeightMatrix, labeled: np.ndarray) -> np.ndarray:
+    """Unlabeled rows joined to some labeled row by a path of nonzero
+    weights; a frontier grown backwards from the labels over the index array."""
+    linked = weight_matrix.weights != 0.0
+    reached = labeled.copy()
+    while True:
+        grown = ~reached & (linked & reached[weight_matrix.indices]).any(axis=1)
+        if not grown.any():
+            return np.flatnonzero(reached & ~labeled)
+        reached |= grown
+
+
 def propagate(
     weight_matrix: WeightMatrix,
     initial_labels: Mapping[int, int],
     n_classes: int,
     tol: float = 1e-9,
-    max_iters: int = 10000,
 ) -> np.ndarray:
-    """Iterate label reconstruction to a fixed point.
+    """The fixed point of label reconstruction, solved directly.
 
-    Labeled rows stay clamped to their one-hot vectors; unlabeled rows start
-    at zero and are updated synchronously from the previous iteration until
-    the largest entry change falls below ``tol``. Divergence (entries beyond
-    1e6) and hitting ``max_iters`` are reported as warnings.
+    Labeled rows stay clamped to their one-hot vectors. Unlabeled rows that
+    reach a label through nonzero weights solve (I - W_RR) L_R = W_Rl L_l;
+    the rest stay exactly zero, as they do when the reconstruction is
+    iterated from zero. When the block W_RR has spectral radius >= 1 (signed
+    weights can do that) the iteration diverges: this is warned about and
+    the reached rows are NaN. A fixed-point residual above ``tol`` is
+    warned about too.
     """
     n = weight_matrix.n_points
     labels = np.zeros((n, n_classes))
@@ -183,36 +257,34 @@ def propagate(
         if not (0 <= c < n_classes):
             raise ValueError(f"class {c} out of range")
         labels[i, c] = 1.0
-    unlabeled = np.array(
-        [i for i in range(n) if i not in initial_labels], dtype=np.int64
-    )
-    if unlabeled.size == 0:
+    labeled = np.zeros(n, dtype=bool)
+    labeled[list(initial_labels)] = True
+    rows = _reaching_rows(weight_matrix, labeled)
+    if rows.size == 0:
         return labels
-    # partitioned dense form of the row update: L_u <- W_uu L_u + W_ul L_l
-    dense = np.zeros((unlabeled.size, n))
-    rows = np.repeat(np.arange(unlabeled.size), weight_matrix.k)
+    # dense rows of the reached block: L_R = W_RR L_R + W_Rl L_l
+    dense = np.zeros((rows.size, n))
     np.add.at(
         dense,
-        (rows, weight_matrix.indices[unlabeled].ravel()),
-        weight_matrix.weights[unlabeled].ravel(),
+        (np.repeat(np.arange(rows.size), weight_matrix.k), weight_matrix.indices[rows].ravel()),
+        weight_matrix.weights[rows].ravel(),
     )
-    w_uu = dense[:, unlabeled]
-    labeled_idx = np.array(sorted(initial_labels), dtype=np.int64)
-    bias = dense[:, labeled_idx] @ labels[labeled_idx]
-    current = labels[unlabeled]
-    for _ in range(max_iters):
-        updated = w_uu @ current + bias
-        delta = float(np.abs(updated - current).max())
-        current = updated
-        if not np.isfinite(updated).all() or np.abs(updated).max() > DIVERGENCE_LIMIT:
-            labels[unlabeled] = current
-            warnings.warn("label propagation diverged (weights are not contractive)")
-            return labels
-        if delta < tol:
-            labels[unlabeled] = current
-            return labels
-    labels[unlabeled] = current
-    warnings.warn(f"label propagation did not converge within {max_iters} iterations")
+    w_rr = dense[:, rows]
+    bias = dense @ labels  # unlabeled rows of ``labels`` are still zero
+    # nonnegative rows summing to at most one, each with a path of positive
+    # weights to a label, give W_RR spectral radius below one; other
+    # weights are checked
+    row_weights = weight_matrix.weights[rows]
+    contractive = (row_weights >= 0.0).all() and row_weights.sum(axis=1).max() <= 1.0 + 1e-12
+    if not contractive and np.abs(np.linalg.eigvals(w_rr)).max() >= 1.0:
+        warnings.warn("label propagation diverged (weights are not contractive)")
+        labels[rows] = np.nan
+        return labels
+    solved = np.linalg.solve(np.eye(rows.size) - w_rr, bias)
+    residual = float(np.abs(w_rr @ solved + bias - solved).max())
+    if not residual <= tol:  # NaN too
+        warnings.warn(f"label propagation fixed-point residual {residual:.3e} exceeds tol {tol:g}")
+    labels[rows] = solved
     return labels
 
 
@@ -255,7 +327,6 @@ class LnpProblem:
     # unconstrained variant (divergence is then monitored and reported)
     nonnegative_weights: bool = True
     propagate_tol: float = 1e-9
-    propagate_max_iters: int = 10000
     smacof_iters: int = 500
     smacof_tol: float = 1e-9
 
@@ -275,13 +346,7 @@ def predict(problem: LnpProblem) -> tuple[np.ndarray, np.ndarray]:
     elif problem.metric != "euclidean":
         raise ValueError(f"unknown metric: {problem.metric}")
     wm = reconstruction_weights(points, problem.k, nonnegative=problem.nonnegative_weights)
-    soft = propagate(
-        wm,
-        problem.initial_labels,
-        problem.n_classes,
-        tol=problem.propagate_tol,
-        max_iters=problem.propagate_max_iters,
-    )
+    soft = propagate(wm, problem.initial_labels, problem.n_classes, tol=problem.propagate_tol)
     classes = np.argmax(soft, axis=1)
     return classes, soft
 
@@ -293,6 +358,8 @@ class SweepRow:
     k: int
     run: int
     errors: int
+    unreached: int = 0  # unlabeled points no label reached (scores all zero)
+    diverged: bool = False
 
 
 def _draw_balanced_labels(
@@ -322,12 +389,14 @@ def sensitivity_sweep(
     metrics: Sequence[str] = ("euclidean", "geodesic"),
     nonnegative: bool = True,
     propagate_tol: float = 1e-9,
-    propagate_max_iters: int = 10000,
 ) -> list[SweepRow]:
     """Prediction-error table over metric x label budget x k x seeded run.
 
     Initial labels are balanced draws from the truth; errors are counted on
-    unlabeled entities only. Every cell is reproducible from ``seed``.
+    unlabeled entities only, and a cell whose propagation diverges scores
+    every one of them as an error. Each geodesic run unfolds the cloud as
+    ``unfold`` does, from the shared geodesic distances and its own SMACOF
+    start. Every cell is reproducible from ``seed``.
     """
     points = np.asarray(points, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
@@ -340,39 +409,34 @@ def sensitivity_sweep(
     euclid_weights = {
         k: reconstruction_weights(points, k, nonnegative=nonnegative) for k in ks
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # divergent cells still score as errors
-        for metric_id, metric in enumerate(metrics):
-            for run in range(runs):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, metric_id, run])
+    geo = geodesic_distances(points) if "geodesic" in metrics else None
+    for metric_id, metric in enumerate(metrics):
+        for run in range(runs):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
+            if metric == "geodesic":
+                unfolded, _ = smacof_mds(geo, points.shape[1], rng)
+                weights_by_k = {
+                    k: reconstruction_weights(unfolded, k, nonnegative=nonnegative)
+                    for k in ks
+                }
+            else:
+                weights_by_k = euclid_weights
+            for label_count in sorted(label_counts):
+                initial = _draw_balanced_labels(truth, label_count, n_classes, rng)
+                unlabeled = np.array(
+                    [i for i in range(n) if i not in initial], dtype=np.int64
                 )
-                if metric == "geodesic":
-                    unfolded = unfold(points, rng)
-                    weights_by_k = {
-                        k: reconstruction_weights(unfolded, k, nonnegative=nonnegative)
-                        for k in ks
-                    }
-                else:
-                    weights_by_k = euclid_weights
-                for label_count in sorted(label_counts):
-                    initial = _draw_balanced_labels(truth, label_count, n_classes, rng)
-                    unlabeled = np.array(
-                        [i for i in range(n) if i not in initial], dtype=np.int64
-                    )
-                    for k in ks:
-                        soft = propagate(
-                            weights_by_k[k],
-                            initial,
-                            n_classes,
-                            tol=propagate_tol,
-                            max_iters=propagate_max_iters,
+                for k in ks:
+                    soft = propagate(weights_by_k[k], initial, n_classes, tol=propagate_tol)
+                    scores = soft[unlabeled]
+                    if not np.isfinite(scores).all():
+                        rows.append(
+                            SweepRow(metric, label_count, k, run, unlabeled.size, diverged=True)
                         )
-                        predicted = np.argmax(soft, axis=1)
-                        errors = int(
-                            (predicted[unlabeled] != truth[unlabeled]).sum()
-                        ) if unlabeled.size else 0
-                        rows.append(SweepRow(metric, label_count, k, run, errors))
+                        continue
+                    errors = int((np.argmax(scores, axis=1) != truth[unlabeled]).sum())
+                    unreached = int((~scores.any(axis=1)).sum())
+                    rows.append(SweepRow(metric, label_count, k, run, errors, unreached))
     return rows
 
 

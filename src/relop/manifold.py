@@ -190,7 +190,8 @@ def knn_sets(dist: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("require 0 < k < n")
     masked = dist.copy()
     np.fill_diagonal(masked, np.inf)
-    return np.argsort(masked, axis=1, kind="stable")[:, :k]
+    # a copy, so the (n, n) ordering is not kept alive behind the (n, k) view
+    return np.argsort(masked, axis=1, kind="stable")[:, :k].copy()
 
 
 def neighborhood_preservation(d_orig: np.ndarray, d_embed: np.ndarray, k: int) -> float:

@@ -362,7 +362,6 @@ def stage_predict(config: PipelineConfig) -> dict:
         seed=stage_seed(config, "predict"),
         nonnegative_weights=config.nonnegative_weights,
         propagate_tol=config.propagate_tol,
-        propagate_max_iters=config.propagate_max_iters,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
     )
@@ -405,14 +404,18 @@ def stage_sweep(config: PipelineConfig) -> dict:
         seed=stage_seed(config, "sweep"),
         nonnegative=config.nonnegative_weights,
         propagate_tol=config.propagate_tol,
-        propagate_max_iters=config.propagate_max_iters,
     )
     _write_csv(
         _work(config, "sweep.csv"),
         "metric,label_count,k,run,errors",
         ((r.metric, r.label_count, r.k, r.run, r.errors) for r in rows),
     )
-    return {"rows": len(rows), "k_values": len(ks)}
+    return {
+        "rows": len(rows),
+        "k_values": len(ks),
+        "unreached_rows": sum(r.unreached for r in rows),
+        "diverged_cells": sum(r.diverged for r in rows),
+    }
 
 
 def stage_metrics(config: PipelineConfig) -> dict:
@@ -656,8 +659,8 @@ def _check_harmonic(config: PipelineConfig) -> tuple[bool, str]:
         w /= w.sum(axis=1, keepdims=True)
         wm = lnp.WeightMatrix(idx, w)
         initial = {0: 0, 1: 1, 2: int(rng.integers(2))}
-        iterated = lnp.propagate(wm, initial, 2, tol=1e-13, max_iters=200000)
-        direct = synth.harmonic_solve(idx, w, initial, 2)
+        iterated = synth.harmonic_iterate(idx, w, initial, 2, tol=1e-13, max_iters=200000)
+        direct = lnp.propagate(wm, initial, 2)
         worst = max(worst, float(np.abs(iterated - direct).max()))
     return worst < 1e-8, f"max_abs_err={worst:.3e}"
 

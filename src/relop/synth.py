@@ -377,13 +377,16 @@ def brute_force_lnp_weights(
     raise ValueError("brute force supports k in {2, 3}")
 
 
-def harmonic_solve(
+def harmonic_iterate(
     neighbor_indices: np.ndarray,
     neighbor_weights: np.ndarray,
     initial_labels: dict[int, int],
     n_classes: int,
+    tol: float = 1e-13,
+    max_iters: int = 300000,
 ) -> np.ndarray:
-    """Solve the label fixed point (I - W_uu) L_u = W_ul L_l directly."""
+    """Iterate the label update L_u <- W_uu L_u + W_ul L_l from zero until a
+    step moves no entry by ``tol``; labeled rows stay one-hot."""
     n = neighbor_indices.shape[0]
     dense = np.zeros((n, n))
     for i in range(n):
@@ -396,9 +399,17 @@ def harmonic_solve(
         labels[i, c] = 1.0
     if unlabeled:
         w_uu = dense[np.ix_(unlabeled, unlabeled)]
-        w_ul = dense[np.ix_(unlabeled, labeled)]
-        rhs = w_ul @ labels[labeled]
-        labels[unlabeled] = np.linalg.solve(np.eye(len(unlabeled)) - w_uu, rhs)
+        bias = dense[np.ix_(unlabeled, labeled)] @ labels[labeled]
+        current = np.zeros((len(unlabeled), n_classes))
+        for _ in range(max_iters):
+            updated = w_uu @ current + bias
+            step = float(np.abs(updated - current).max())
+            current = updated
+            if step < tol:
+                break
+        else:
+            raise ValueError(f"label iteration did not settle within {max_iters} steps")
+        labels[unlabeled] = current
     return labels
 
 

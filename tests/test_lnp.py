@@ -19,7 +19,7 @@ from relop.manifold import pairwise_euclidean
 from relop.synth import (
     brute_force_lnp_weights,
     gen_manifold,
-    harmonic_solve,
+    harmonic_iterate,
     procrustes_residual,
 )
 
@@ -81,6 +81,43 @@ class TestReconstructionWeights:
                 got = wm.weights[row] @ gram @ wm.weights[row]
                 assert wm.weights[row].min() >= -1e-12
                 assert got <= res.fun + 1e-8
+
+    def test_nonnegative_weights_satisfy_kkt_and_match_nnls(self):
+        """Every row of the batched active set is the simplex-constrained
+        minimizer: KKT holds, and scipy's NNLS on min |Rv - R^-T 1| with
+        G = R'R, normalized, gives the same weights."""
+        from scipy.linalg import cholesky, solve_triangular
+        from scipy.optimize import nnls
+
+        pts = gen_manifold("two_moons", 60, noise=0.08, seed=12).points
+        for k in range(2, 26):
+            wm = reconstruction_weights(pts, k, nonnegative=True)
+            for i in range(len(pts)):
+                diffs = pts[i] - pts[wm.indices[i]]
+                gram = diffs @ diffs.T
+                if k > 2:  # k > d conditioning
+                    gram += 1e-3 * np.trace(gram) / k * np.eye(k)
+                w = wm.weights[i]
+                grad = gram @ w
+                value = w @ grad
+                assert w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
+                assert (grad >= value * (1.0 - 1e-9)).all()
+                np.testing.assert_allclose(grad[w > 0], value, rtol=1e-9)
+                root = cholesky(gram)
+                v, _ = nnls(root, solve_triangular(root, np.ones(k), trans="T"))
+                np.testing.assert_allclose(w, v / v.sum(), atol=1e-9)
+
+    def test_fallback_ridge_only_for_coincident_neighbors(self):
+        """Rows 0 and 1 coincide, so each one's Gram system (k = d, no
+        structural ridge) is singular; no other row's is."""
+        cloud = np.random.default_rng(13).uniform(0.0, 1.0, (12, 2)) + 10.0
+        pts = np.vstack([[[0.0, 0.0], [0.0, 0.0]], cloud])
+        for flag in (False, True):
+            wm = reconstruction_weights(pts, 2, nonnegative=flag)
+            assert wm.fallback_rows.tolist() == [0, 1]
+            np.testing.assert_allclose(wm.row_sums(), 1.0, atol=1e-12)
+            assert wm.weights[0][0] == pytest.approx(1.0, abs=1e-6)
+            assert wm.weights[1][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_geodesic_metric_changes_neighbors(self):
         sample = gen_manifold("swiss_roll", 80, noise=0.0, seed=3)
@@ -156,9 +193,27 @@ class TestPropagate:
     def test_chain_matches_harmonic_oracle(self):
         wm = chain_weights(10)
         initial = {0: 0, 9: 1}
-        iterated = propagate(wm, initial, 2, tol=1e-13, max_iters=100000)
-        direct = harmonic_solve(wm.indices, wm.weights, initial, 2)
+        iterated = harmonic_iterate(wm.indices, wm.weights, initial, 2, max_iters=100000)
+        direct = propagate(wm, initial, 2)
         np.testing.assert_allclose(iterated, direct, atol=1e-8)
+
+    def test_closed_unlabeled_class(self):
+        """Rows 5-7 link only among themselves, so no label reaches them and
+        they stay exactly zero; rows 2-4 leak weight into that class, so
+        their label mass is below one."""
+        indices = np.array(
+            [[1, 2], [0, 3], [0, 5], [1, 6], [2, 3], [6, 7], [5, 7], [5, 6]]
+        )
+        weights = np.array(
+            [[0.5, 0.5], [0.5, 0.5], [0.6, 0.4], [0.7, 0.3],
+             [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+        )
+        initial = {0: 0, 1: 1}
+        labels = propagate(WeightMatrix(indices, weights), initial, 2)
+        assert not labels[5:].any()
+        assert (labels[2:5].sum(axis=1) < 0.9).all()
+        oracle = harmonic_iterate(indices, weights, initial, 2)
+        np.testing.assert_allclose(labels, oracle, atol=1e-8)
 
     def test_labeled_rows_clamped(self):
         wm = chain_weights(6)
@@ -286,6 +341,27 @@ class TestSensitivitySweep:
             ("euclidean", 4, 2), ("euclidean", 4, 3),
             ("geodesic", 4, 2), ("geodesic", 4, 3),
         }
+
+    def test_divergent_cell_scores_every_unlabeled_point(self, moons, monkeypatch):
+        import relop.lnp as lnp_module
+
+        real = lnp_module.propagate
+
+        def diverging_at_k3(wm, initial, n_classes, tol=1e-9):
+            soft = real(wm, initial, n_classes, tol=tol)
+            if wm.k == 3:
+                soft[[i for i in range(wm.n_points) if i not in initial]] = np.nan
+            return soft
+
+        monkeypatch.setattr(lnp_module, "propagate", diverging_at_k3)
+        rows = sensitivity_sweep(
+            moons.points, moons.classes, [4], [2, 3], runs=2, seed=1,
+            metrics=("euclidean",),
+        )
+        for row in rows:
+            assert row.diverged == (row.k == 3)
+            if row.diverged:
+                assert row.errors == len(moons.points) - 4
 
     def test_geodesic_helps_at_larger_k(self, moons):
         """Lighter version of the acceptance protocol: for some k in the

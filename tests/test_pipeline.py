@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             apply_overrides(PipelineConfig(), [("nope", "1")])
 
+    def test_removed_iteration_cap_is_rejected(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("propagate_max_iters = 10000\n")
+        with pytest.raises(UsageError):
+            load_config(path)
+
     def test_override_type_parsing(self):
         config = apply_overrides(
             PipelineConfig(),
@@ -172,6 +178,15 @@ class TestPipelineChain:
         before = artifact_hashes(workdir)
         run_stage("predict", config)
         assert artifact_hashes(workdir) == before
+
+    def test_sweep_reports_propagation_outcomes(self, chain_dirs):
+        records = [
+            json.loads(line)
+            for line in Path(chain_dirs["a"], "runs.jsonl").read_text().splitlines()
+        ]
+        counts = next(r["counts"] for r in records if r["stage"] == "sweep")
+        assert counts["diverged_cells"] == 0  # nonnegative weights are contractive
+        assert isinstance(counts["unreached_rows"], int) and counts["unreached_rows"] >= 0
 
     def test_predictions_schema(self, chain_dirs):
         lines = Path(chain_dirs["a"], "predictions.csv").read_text().splitlines()

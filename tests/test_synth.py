@@ -14,7 +14,7 @@ from relop.synth import (
     finite_diff_grads,
     gen_manifold,
     gen_opinion_corpus,
-    harmonic_solve,
+    harmonic_iterate,
     hypergeom_pmf,
     hypergeom_pmf_exact,
     procrustes_residual,
@@ -175,13 +175,13 @@ class TestHarmonicSolve:
     def test_all_labeled_identity(self):
         indices = np.array([[1], [0]])
         weights = np.ones((2, 1))
-        labels = harmonic_solve(indices, weights, {0: 0, 1: 1}, 2)
+        labels = harmonic_iterate(indices, weights, {0: 0, 1: 1}, 2)
         np.testing.assert_array_equal(labels, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_single_unlabeled_is_convex_combination(self):
         indices = np.array([[1, 2], [0, 2], [0, 1]])
         weights = np.array([[0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
-        labels = harmonic_solve(indices, weights, {1: 0, 2: 1}, 2)
+        labels = harmonic_iterate(indices, weights, {1: 0, 2: 1}, 2)
         np.testing.assert_allclose(labels[0], [0.3, 0.7], atol=1e-12)
 
 
