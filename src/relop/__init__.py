@@ -45,7 +45,6 @@ from .ingest import (
 from .lnp import (
     LnpProblem,
     WeightMatrix,
-    discretize,
     evaluate_fixture,
     predict,
     propagate,
@@ -63,4 +62,4 @@ from .manifold import (
     smacof_mds,
     stress_measure,
 )
-from .oowe import OoweConfig, OoweModel, corrupt, embed_word, forward, gradients, loss, train
+from .oowe import OoweConfig, OoweModel, corrupt, forward, gradients, loss, train

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -150,9 +151,10 @@ def propagate_hashtag_labels(
 
     Vertices are visited in a fresh random order each sweep; every non-seed
     vertex adopts the label carried by most of its labeled neighbors, ties
-    broken uniformly at random. Seeds never change. Sweeping stops once every
-    labeled vertex already holds one of its majority labels. ``weighted``
-    votes by significance weight instead of neighbor count.
+    broken uniformly at random. Seeds never change. Sweeping stops at a fixed
+    point: every non-seed vertex with a labeled neighbor holds one of its
+    majority labels. ``weighted`` votes by significance weight instead of
+    neighbor count.
     """
     adjacency = graph.neighbors()
     edge_weight = {key: edge.s for key, edge in graph.edges.items()}
@@ -171,6 +173,10 @@ def propagate_hashtag_labels(
         top = max(tally.values())
         return sorted((lab for lab, c in tally.items() if c == top), key=lambda l: l.value)
 
+    def settled(vertex: str) -> bool:
+        best = majority(vertex)
+        return best is None or labels.get(vertex) in best
+
     for _ in range(max_sweeps):
         order = rng.permutation(len(vertices))
         for idx in order:
@@ -181,13 +187,7 @@ def propagate_hashtag_labels(
             if best is None:
                 continue
             labels[vertex] = best[0] if len(best) == 1 else best[int(rng.integers(len(best)))]
-        stable = True
-        for vertex, lab in labels.items():
-            best = majority(vertex)
-            if best is not None and lab not in best:
-                stable = False
-                break
-        if stable:
+        if all(settled(vertex) for vertex in vertices if vertex not in seeds):
             break
     return labels
 
@@ -274,37 +274,33 @@ def label_tweets(
 def write_label_map(path, labels: dict[str, OpinionLabel], counts: dict[str, int]) -> None:
     """Persist hashtag labels as ``hashtag,label,n_i`` CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("hashtag,label,n_i\n")
-        for tag in sorted(labels):
-            fh.write(f"{tag},{labels[tag].value},{counts.get(tag, 0)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("hashtag", "label", "n_i"))
+        writer.writerows((tag, labels[tag].value, counts.get(tag, 0)) for tag in sorted(labels))
 
 
 def read_label_map(path) -> tuple[dict[str, OpinionLabel], dict[str, int]]:
     labels: dict[str, OpinionLabel] = {}
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("hashtag,label"):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:2] != ["hashtag", "label"]:
             raise ValueError(f"unexpected label map header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) < 2:
+        for row in reader:
+            if len(row) < 2:
                 continue
-            labels[parts[0]] = OpinionLabel(parts[1])
-            counts[parts[0]] = int(parts[2]) if len(parts) > 2 else 0
+            labels[row[0]] = OpinionLabel(row[1])
+            counts[row[0]] = int(row[2]) if len(row) > 2 else 0
     return labels, counts
 
 
 def read_seeds(path) -> dict[str, OpinionLabel]:
     """Read a ``hashtag,label`` seed CSV (header row required)."""
-    seeds: dict[str, OpinionLabel] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) >= 2 and parts[0]:
-                seeds[parts[0]] = OpinionLabel(parts[1])
-    return seeds
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return {row[0]: OpinionLabel(row[1]) for row in reader if len(row) >= 2 and row[0]}
 
 
 def write_training_set(path, training_set: TrainingSet) -> None:

@@ -288,13 +288,6 @@ def propagate(
     return labels
 
 
-def discretize(label_matrix: np.ndarray) -> np.ndarray:
-    """One-hot each row at its argmax; ties go to the lowest class index."""
-    out = np.zeros_like(label_matrix)
-    out[np.arange(label_matrix.shape[0]), np.argmax(label_matrix, axis=1)] = 1.0
-    return out
-
-
 def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
     """The low-dimensional configuration a weight matrix reconstructs best.
 
@@ -389,6 +382,8 @@ def sensitivity_sweep(
     metrics: Sequence[str] = ("euclidean", "geodesic"),
     nonnegative: bool = True,
     propagate_tol: float = 1e-9,
+    smacof_iters: int = 500,
+    smacof_tol: float = 1e-9,
 ) -> list[SweepRow]:
     """Prediction-error table over metric x label budget x k x seeded run.
 
@@ -414,7 +409,9 @@ def sensitivity_sweep(
         for run in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
             if metric == "geodesic":
-                unfolded, _ = smacof_mds(geo, points.shape[1], rng)
+                unfolded, _ = smacof_mds(
+                    geo, points.shape[1], rng, iters=smacof_iters, tol=smacof_tol
+                )
                 weights_by_k = {
                     k: reconstruction_weights(unfolded, k, nonnegative=nonnegative)
                     for k in ks
@@ -440,20 +437,18 @@ def sensitivity_sweep(
     return rows
 
 
+def median_band(values) -> tuple[float, float, float]:
+    """Median and 2.5/97.5 percentile band of a sample."""
+    arr = np.asarray(values, dtype=float)
+    return float(np.median(arr)), float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5))
+
+
 def sweep_medians(rows: Sequence[SweepRow]) -> dict[tuple[str, int, int], tuple[float, float, float]]:
-    """Median and 2.5/97.5 percentile band per (metric, label_count, k)."""
+    """``median_band`` of the error counts per (metric, label_count, k)."""
     cells: dict[tuple[str, int, int], list[int]] = {}
     for row in rows:
         cells.setdefault((row.metric, row.label_count, row.k), []).append(row.errors)
-    out = {}
-    for key, values in cells.items():
-        arr = np.array(values, dtype=float)
-        out[key] = (
-            float(np.median(arr)),
-            float(np.percentile(arr, 2.5)),
-            float(np.percentile(arr, 97.5)),
-        )
-    return out
+    return {key: median_band(values) for key, values in cells.items()}
 
 
 def evaluate_fixture(

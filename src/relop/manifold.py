@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from typing import Callable, Iterable, Optional
 
@@ -17,78 +16,32 @@ def pairwise_euclidean(points: np.ndarray) -> np.ndarray:
     return d
 
 
-def _neighbor_lists(dist: np.ndarray, m: int) -> list[list[tuple[int, float]]]:
-    n = dist.shape[0]
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
-    adjacency: list[dict[int, float]] = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in order[i, :m]:
-            j = int(j)
-            adjacency[i][j] = dist[i, j]
-            adjacency[j][i] = dist[i, j]
-    return [sorted(adj.items()) for adj in adjacency]
-
-
-def _connected(adjacency: list[list[tuple[int, float]]]) -> bool:
-    n = len(adjacency)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nb, _ in adjacency[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
-    return bool(seen.all())
-
-
-def _dijkstra(adjacency: list[list[tuple[int, float]]], source: int) -> np.ndarray:
-    n = len(adjacency)
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
-            continue
-        for nb, w in adjacency[node]:
-            nd = d + w
-            if nd < dist[nb]:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return dist
-
-
 def geodesic_distances(points: np.ndarray, return_neighbor_size: bool = False):
     """Shortest-path distances over the smallest connected m-NN graph.
 
     The neighbor count m grows from 2 until the symmetrized graph is
     connected; edge weights are Euclidean distances and all-pairs paths come
-    from one Dijkstra run per source.
+    from a Floyd–Warshall pass over the dense edge matrix (inf = no edge).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
     euclid = pairwise_euclidean(points)
-    adjacency = None
-    m_used = None
-    for m in range(2, n):
-        adjacency = _neighbor_lists(euclid, m)
-        if _connected(adjacency):
-            m_used = m
+    rows = np.arange(n)[:, None]
+    # m = n - 1 is the complete graph, so the loop always ends connected
+    for m in range(min(2, n - 1), n):
+        neighbors = knn_sets(euclid, m)
+        out = np.full((n, n), np.inf)
+        out[rows, neighbors] = euclid[rows, neighbors]
+        out = np.minimum(out, out.T)
+        np.fill_diagonal(out, 0.0)
+        for k in range(n):
+            np.minimum(out, out[:, k, None] + out[k], out=out)
+        if np.isfinite(out).all():
             break
-    if m_used is None:  # n == 2, or everything coincident
-        m_used = max(n - 1, 1)
-        adjacency = _neighbor_lists(euclid, m_used)
-    out = np.vstack([_dijkstra(adjacency, i) for i in range(n)])
-    out = (out + out.T) / 2.0
-    np.fill_diagonal(out, 0.0)
     if return_neighbor_size:
-        return out, m_used
+        return out, m
     return out
 
 
@@ -243,7 +196,8 @@ def select_k(
     ``d_embed_fn(rng, k, run)`` supplies the embedding-space distances for a
     given neighborhood size within a seeded run (the embedding may depend on
     k, and the per-run rng carries the stochastic part, e.g. an MDS start).
-    Returns the argmin (smallest k on ties) plus the full per-run table.
+    Returns the argmin (smallest k on ties) plus the full per-run table,
+    whose rows also carry neighborhood preservation ``np`` and stress ``st``.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -255,24 +209,17 @@ def select_k(
     for run, child in enumerate(children):
         rng = np.random.default_rng(child)
         for k in ks:
-            value = pne(d_orig, d_embed_fn(rng, k, run), k)
+            d_embed = d_embed_fn(rng, k, run)
+            value = pne(d_orig, d_embed, k)
             per_k[k].append(value)
-            rows.append({"k": k, "run": run, "pne": value})
+            rows.append(
+                {
+                    "k": k,
+                    "run": run,
+                    "np": neighborhood_preservation(d_orig, d_embed, k),
+                    "st": stress_measure(d_orig, d_embed),
+                    "pne": value,
+                }
+            )
     medians = np.array([np.median(per_k[k]) for k in ks])
     return ks[int(np.argmin(medians))], rows
-
-
-def write_distance_tsv(path, dist: np.ndarray, ids: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join([""] + list(ids)) + "\n")
-        for name, row in zip(ids, dist):
-            fh.write("\t".join([name] + [repr(float(v)) for v in row]) + "\n")
-
-
-def read_distance_tsv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        ids = fh.readline().rstrip("\n").split("\t")[1:]
-        rows = []
-        for line in fh:
-            rows.append([float(v) for v in line.rstrip("\n").split("\t")[1:]])
-    return np.array(rows), ids

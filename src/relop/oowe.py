@@ -287,11 +287,6 @@ def train(
     return model, epoch_losses
 
 
-def embed_word(model: OoweModel, vocab: Vocabulary, token: str) -> np.ndarray:
-    """Embedding row for a token; out-of-vocabulary tokens get the unknown row."""
-    return model.embeddings[vocab.lookup(token)]
-
-
 def save_model(path, model: OoweModel) -> None:
     """Write the binary model file.
 

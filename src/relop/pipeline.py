@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.resources
 import json
 import os
 import time
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -67,22 +69,23 @@ def _input_or(config_value: str, fallback: Path) -> Path:
 # shared artifact IO
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path: Path) -> list[dict[str, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _read_entity_csv(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) >= 2 and parts[0]:
-                out[parts[0]] = parts[1]
-    return out
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return {row[0]: row[1] for row in reader if len(row) >= 2 and row[0]}
 
 
 def _read_clean_corpus(path: Path) -> list[dict]:
@@ -160,17 +163,17 @@ def stage_synth(config: PipelineConfig) -> dict:
     _work(config, "corpus.jsonl").write_text(synth.corpus_to_jsonl(corpus), encoding="utf-8")
     _write_csv(
         _work(config, "tweet_truth.csv"),
-        "entity,class",
+        ("entity", "class"),
         ((p.id, f"c{c}") for p, c in zip(corpus.posts, corpus.tweet_classes)),
     )
     _write_csv(
         _work(config, "user_truth.csv"),
-        "entity,class",
+        ("entity", "class"),
         ((u, f"c{c}") for u, c in sorted(corpus.user_classes.items())),
     )
     _write_csv(
         _work(config, "state_truth.csv"),
-        "entity,class",
+        ("entity", "class"),
         ((s, f"c{c}") for s, c in sorted(corpus.state_classes.items())),
     )
     rng = np.random.default_rng(stage_seed(config, "synth-labels"))
@@ -183,7 +186,7 @@ def stage_synth(config: PipelineConfig) -> dict:
         take = min(config.synth_initial_labels_per_class, len(members))
         chosen = rng.choice(len(members), size=take, replace=False)
         picks.extend((members[i], f"c{c}") for i in sorted(chosen))
-    _write_csv(_work(config, "initial_labels.csv"), "entity,class", sorted(picks))
+    _write_csv(_work(config, "initial_labels.csv"), ("entity", "class"), sorted(picks))
     return {"posts": len(corpus.posts), "states": len(corpus.state_classes)}
 
 
@@ -272,7 +275,7 @@ def stage_train(config: PipelineConfig) -> dict:
     _write_vocab(_work(config, "vocab.tsv"), vocab)
     _write_csv(
         _work(config, "train_log.csv"),
-        "epoch,mean_loss",
+        ("epoch", "mean_loss"),
         ((i + 1, repr(value)) for i, value in enumerate(losses)),
     )
     return {
@@ -313,7 +316,7 @@ def stage_aggregate(config: PipelineConfig) -> dict:
     rows = agg.state_summaries(result.state_user_vectors, populations)
     _write_csv(
         _work(config, "state_summary.csv"),
-        "state,user_count,stddev,representativeness",
+        ("state", "user_count", "stddev", "representativeness"),
         (
             (
                 r["state"],
@@ -366,7 +369,7 @@ def stage_predict(config: PipelineConfig) -> dict:
         smacof_tol=config.smacof_tol,
     )
     predicted, soft = lnp.predict(problem)
-    header = "entity,class," + ",".join(f"score_{i + 1}" for i in range(len(classes)))
+    header = ["entity", "class"] + [f"score_{i + 1}" for i in range(len(classes))]
     _write_csv(
         _work(config, "predictions.csv"),
         header,
@@ -404,10 +407,12 @@ def stage_sweep(config: PipelineConfig) -> dict:
         seed=stage_seed(config, "sweep"),
         nonnegative=config.nonnegative_weights,
         propagate_tol=config.propagate_tol,
+        smacof_iters=config.smacof_iters,
+        smacof_tol=config.smacof_tol,
     )
     _write_csv(
         _work(config, "sweep.csv"),
-        "metric,label_count,k,run,errors",
+        ("metric", "label_count", "k", "run", "errors"),
         ((r.metric, r.label_count, r.k, r.run, r.errors) for r in rows),
     )
     return {
@@ -427,45 +432,40 @@ def stage_metrics(config: PipelineConfig) -> dict:
     ks = [k for k in range(config.k_min, config.k_max + 1) if k < n]
     if not ks:
         raise DataError("no usable k in the configured range")
-    d_orig = mf.pairwise_euclidean(coords)
     d_geo = mf.geodesic_distances(coords)
-    seed = stage_seed(config, "metrics")
-    children = np.random.SeedSequence(seed).spawn(config.runs)
-    rows = []
-    per_k_pne: dict[int, list[float]] = {k: [] for k in ks}
-    for run, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        unfolded, _ = mf.smacof_mds(
-            d_geo, coords.shape[1], rng, iters=config.smacof_iters, tol=config.smacof_tol
-        )
-        for k in ks:
-            # per-k quality: the embedding the weight matrix itself induces
-            wm = lnp.reconstruction_weights(
-                unfolded, k, nonnegative=config.nonnegative_weights
+    cache = {}
+
+    def d_embed_fn(rng, k, run):
+        # one SMACOF unfolding per run; each k is judged by the embedding its
+        # own weight matrix induces
+        if cache.get("run") != run:
+            unfolded, _ = mf.smacof_mds(
+                d_geo, coords.shape[1], rng, iters=config.smacof_iters, tol=config.smacof_tol
             )
-            d_emb = mf.pairwise_euclidean(lnp.lle_embedding(wm, dim))
-            np_value = mf.neighborhood_preservation(d_orig, d_emb, k)
-            st_value = mf.stress_measure(d_orig, d_emb)
-            pne_value = mf.pne(d_orig, d_emb, k)
-            per_k_pne[k].append(pne_value)
-            rows.append((k, run, repr(np_value), repr(st_value), repr(pne_value)))
-    _write_csv(_work(config, "quality_runs.csv"), "k,run,np,st,pne", rows)
-    summary = []
-    for k in ks:
-        arr = np.array(per_k_pne[k])
-        summary.append(
-            (
-                k,
-                repr(float(np.median(arr))),
-                repr(float(np.percentile(arr, 2.5))),
-                repr(float(np.percentile(arr, 97.5))),
-            )
+            cache.update(run=run, unfolded=unfolded)
+        wm = lnp.reconstruction_weights(
+            cache["unfolded"], k, nonnegative=config.nonnegative_weights
         )
-    _write_csv(
-        _work(config, "quality_summary.csv"), "k,pne_median,pne_lo,pne_hi", summary
+        return mf.pairwise_euclidean(lnp.lle_embedding(wm, dim))
+
+    k_star, table = mf.select_k(
+        lambda: mf.pairwise_euclidean(coords),
+        d_embed_fn,
+        ks,
+        runs=config.runs,
+        seed=stage_seed(config, "metrics"),
     )
-    medians = [float(np.median(per_k_pne[k])) for k in ks]
-    k_star = ks[int(np.argmin(medians))]
+    _write_csv(
+        _work(config, "quality_runs.csv"),
+        ("k", "run", "np", "st", "pne"),
+        ((r["k"], r["run"], repr(r["np"]), repr(r["st"]), repr(r["pne"])) for r in table),
+    )
+    summary = (
+        (k, *map(repr, lnp.median_band([r["pne"] for r in table if r["k"] == k]))) for k in ks
+    )
+    _write_csv(
+        _work(config, "quality_summary.csv"), ("k", "pne_median", "pne_lo", "pne_hi"), summary
+    )
     _work(config, "selected_k.txt").write_text(f"{k_star}\n", encoding="utf-8")
     return {"k_star": k_star, "runs": config.runs}
 
@@ -482,14 +482,10 @@ def stage_plot(config: PipelineConfig) -> dict:
     sizes: dict[str, float] = {}
     summary_path = _work(config, "state_summary.csv")
     if summary_path.exists():
-        with open(summary_path, encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) >= 4 and parts[0]:
-                    value = parts[2] if config.plot_size_channel == "stddev" else parts[3]
-                    if value:
-                        sizes[parts[0]] = float(value)
+        column = "stddev" if config.plot_size_channel == "stddev" else "representativeness"
+        for row in _read_csv(summary_path):
+            if row["state"] and row[column]:
+                sizes[row["state"]] = float(row[column])
     annotations = [
         {"id": e, "class": class_names.get(e, "state"), "size": sizes.get(e)}
         for e in ids
@@ -501,14 +497,12 @@ def stage_plot(config: PipelineConfig) -> dict:
     outputs = 1
     sweep_path = _work(config, "sweep.csv")
     if sweep_path.exists():
-        rows = []
-        with open(sweep_path, encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                metric, label_count, k, run, errors = line.strip().split(",")
-                rows.append(
-                    lnp.SweepRow(metric, int(label_count), int(k), int(run), int(errors))
-                )
+        rows = [
+            lnp.SweepRow(
+                r["metric"], int(r["label_count"]), int(r["k"]), int(r["run"]), int(r["errors"])
+            )
+            for r in _read_csv(sweep_path)
+        ]
         med = lnp.sweep_medians(rows)
         series: dict[str, list] = {}
         for (metric, label_count, k), (mid, lo, hi) in sorted(med.items()):
@@ -524,12 +518,10 @@ def stage_plot(config: PipelineConfig) -> dict:
             outputs += 1
     quality_path = _work(config, "quality_summary.csv")
     if quality_path.exists():
-        curve = []
-        with open(quality_path, encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                k, mid, lo, hi = line.strip().split(",")
-                curve.append((int(k), float(mid), float(lo), float(hi)))
+        curve = [
+            (int(r["k"]), float(r["pne_median"]), float(r["pne_lo"]), float(r["pne_hi"]))
+            for r in _read_csv(quality_path)
+        ]
         if curve:
             _work(config, "pne_curve.svg").write_text(
                 plots.plot_error_curves(

@@ -205,6 +205,24 @@ class TestLabelPropagation:
         assert plain["#mid"] == OpinionLabel.PRO_CLINTON  # two neighbors beat one
         assert heavy["#mid"] == OpinionLabel.PRO_TRUMP    # weight 5 beats 1+1
 
+    def test_spreads_past_a_vertex_labeled_late_in_the_sweep(self):
+        """On a seed-a-b path, b's only neighbor a may be labeled after b was
+        visited in the same sweep; spreading must still reach b."""
+        from relop.hashtags import CoocEdge, HashtagGraph
+
+        graph = HashtagGraph(
+            counts={"#seed": 5, "#a": 5, "#b": 5},
+            edges={
+                ("#a", "#seed"): CoocEdge("#a", "#seed", 3, 1e-9, 1.0),
+                ("#a", "#b"): CoocEdge("#a", "#b", 3, 1e-9, 1.0),
+            },
+            n_tweets=20,
+        )
+        seeds = {"#seed": OpinionLabel.PRO_TRUMP}
+        for seed in range(40):
+            labels = propagate_hashtag_labels(graph, seeds, np.random.default_rng(seed))
+            assert labels == dict.fromkeys(("#seed", "#a", "#b"), OpinionLabel.PRO_TRUMP)
+
     def test_tie_breaks_uniformly(self):
         """A vertex with equal-count neighbors lands ~50/50 over many seeds."""
         tweets = [["#left", "#mid"]] * 40 + [["#right", "#mid"]] * 40 + [["#pad"]] * 400
@@ -318,6 +336,15 @@ class TestSerialization:
         write_label_map(path, labels, counts)
         got_labels, got_counts = read_label_map(path)
         assert got_labels == labels and got_counts == counts
+
+    def test_label_map_quotes_a_hashtag_with_a_comma(self, tmp_path):
+        # the tokenizer keeps "#maga,#trump2016" as one hashtag
+        labels = {"#maga,#trump2016": OpinionLabel.PRO_TRUMP, "#x": OpinionLabel.ANTI_TRUMP}
+        counts = {"#maga,#trump2016": 3, "#x": 5}
+        path = tmp_path / "labels.csv"
+        write_label_map(path, labels, counts)
+        assert '"#maga,#trump2016",pro_trump,3' in path.read_text().splitlines()
+        assert read_label_map(path) == (labels, counts)
 
     def test_training_set_roundtrip(self, tmp_path):
         training = label_tweets([["#maga", "rally", "tonight"]], LABELS)

@@ -6,7 +6,6 @@ import pytest
 from relop.lnp import (
     LnpProblem,
     WeightMatrix,
-    discretize,
     evaluate_fixture,
     predict,
     propagate,
@@ -250,26 +249,6 @@ class TestPropagate:
         wm = chain_weights(4)
         labels = propagate(wm, {0: 0, 1: 1, 2: 0, 3: 1}, 2)
         np.testing.assert_array_equal(labels, np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float))
-
-
-class TestDiscretize:
-    def test_simple(self):
-        np.testing.assert_array_equal(
-            discretize(np.array([[0.7, 0.3]])), np.array([[1.0, 0.0]])
-        )
-
-    def test_tie_goes_to_lowest_index(self):
-        np.testing.assert_array_equal(
-            discretize(np.array([[0.5, 0.5]])), np.array([[1.0, 0.0]])
-        )
-
-    def test_matches_argmax_brute_force(self):
-        rng = np.random.default_rng(6)
-        soft = rng.uniform(0, 1, (40, 5))
-        hard = discretize(soft)
-        for i in range(40):
-            assert hard[i].argmax() == soft[i].argmax()
-            assert hard[i].sum() == 1.0
 
 
 class TestPredict:

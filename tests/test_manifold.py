@@ -10,11 +10,9 @@ from relop.manifold import (
     neighborhood_preservation,
     pairwise_euclidean,
     pne,
-    read_distance_tsv,
     select_k,
     smacof_mds,
     stress_measure,
-    write_distance_tsv,
 )
 from relop.synth import gen_manifold, procrustes_residual
 
@@ -62,7 +60,7 @@ class TestGeodesic:
         np.testing.assert_allclose(geo, geo.T, atol=1e-12)
 
     def test_matches_scipy_shortest_path(self):
-        """Dual-route check: heap Dijkstra versus scipy's csgraph."""
+        """Dual-route check: Floyd–Warshall versus scipy's Dijkstra."""
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((40, 3))
         geo, m = geodesic_distances(pts, return_neighbor_size=True)
@@ -82,6 +80,31 @@ class TestGeodesic:
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         _, m = geodesic_distances(pts, return_neighbor_size=True)
         assert m == 2
+
+    def test_two_points(self):
+        geo, m = geodesic_distances(np.array([[0.0, 0.0], [3.0, 4.0]]), return_neighbor_size=True)
+        np.testing.assert_array_equal(geo, [[0.0, 5.0], [5.0, 0.0]])
+        assert m == 1
+
+    def test_coincident_points(self):
+        geo, m = geodesic_distances(np.zeros((5, 2)), return_neighbor_size=True)
+        np.testing.assert_array_equal(geo, np.zeros((5, 5)))
+        assert m == 2
+        # two coincident pairs and an outlier; zero-length edges are still edges
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
+        geo, m = geodesic_distances(pts, return_neighbor_size=True)
+        assert m == 2
+        r2 = np.sqrt(2.0)
+        want = np.array(
+            [
+                [0.0, 0.0, r2, r2, 5.0 * r2],
+                [0.0, 0.0, r2, r2, 5.0 * r2],
+                [r2, r2, 0.0, 0.0, 4.0 * r2],
+                [r2, r2, 0.0, 0.0, 4.0 * r2],
+                [5.0 * r2, 5.0 * r2, 4.0 * r2, 4.0 * r2, 0.0],
+            ]
+        )
+        np.testing.assert_allclose(geo, want, rtol=1e-15)
 
     def test_swiss_roll_spearman_advantage(self):
         sample = gen_manifold("swiss_roll", 200, noise=0.0, seed=4)
@@ -274,6 +297,17 @@ class TestSelectK:
         medians = {k: np.median(v) for k, v in per_k.items()}
         assert k_star == min(medians, key=lambda k: (medians[k], k))
 
+    def test_rows_carry_np_and_st(self):
+        rng = np.random.default_rng(10)
+        pts = rng.standard_normal((15, 3))
+        d_o = pairwise_euclidean(pts)
+        d_e = pairwise_euclidean(pts + 0.2 * rng.standard_normal(pts.shape))
+        _, rows = select_k(lambda: d_o, lambda rng, k, run: d_e, range(2, 5), runs=2, seed=4)
+        for row in rows:
+            assert row["np"] == neighborhood_preservation(d_o, d_e, row["k"])
+            assert row["st"] == stress_measure(d_o, d_e)
+            assert row["pne"] == pne(d_o, d_e, row["k"])
+
     def test_embedding_may_depend_on_k(self):
         # a synthetic quality profile with its best embedding at k=5
         d = pairwise_euclidean(np.random.default_rng(9).standard_normal((15, 3)))
@@ -293,12 +327,3 @@ class TestSelectK:
         first = select_k(lambda: d, d_embed, range(2, 6), runs=5, seed=3)
         second = select_k(lambda: d, d_embed, range(2, 6), runs=5, seed=3)
         assert first == second
-
-
-def test_distance_tsv_roundtrip(tmp_path):
-    d = pairwise_euclidean(np.random.default_rng(9).standard_normal((5, 2)))
-    path = tmp_path / "dist.tsv"
-    write_distance_tsv(path, d, [f"p{i}" for i in range(5)])
-    loaded, ids = read_distance_tsv(path)
-    assert ids == [f"p{i}" for i in range(5)]
-    np.testing.assert_array_equal(loaded, d)

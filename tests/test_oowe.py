@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from relop.hashtags import TrainingSet
-from relop.ingest import Vocabulary, build_vocab
+from relop.ingest import build_vocab
 from relop.oowe import (
     OoweConfig,
     OoweModel,
     adagrad_step,
     corrupt,
-    embed_word,
     export_embeddings,
     forward,
     gradients,
@@ -379,17 +378,11 @@ class TestModelFile:
         with pytest.raises(ValueError):
             load_model(path)
 
-    def test_embed_word_and_export(self):
+    def test_export_embeddings(self):
         training = toy_training_set(n=10)
         vocab = build_vocab((t for t, _ in training.examples), min_count=1)
         config = OoweConfig(window=3, embed_dim=4, hidden_dim=3, categories=2, epochs=1, seed=0)
         model, _ = train(training, vocab, config)
-        np.testing.assert_array_equal(
-            embed_word(model, vocab, "red"), model.embeddings[vocab.index["red"]]
-        )
-        np.testing.assert_array_equal(
-            embed_word(model, vocab, "never-seen"), model.embeddings[Vocabulary.UNK]
-        )
         lines = export_embeddings(model, vocab).splitlines()
         assert len(lines) == len(vocab)
         token, values = lines[2].split("\t")

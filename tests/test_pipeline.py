@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,28 @@ class TestPipelineChain:
         assert counts["diverged_cells"] == 0  # nonnegative weights are contractive
         assert isinstance(counts["unreached_rows"], int) and counts["unreached_rows"] >= 0
 
+    def test_sweep_takes_smacof_iters_from_the_config(self, chain_dirs, tmp_path, monkeypatch):
+        from relop import lnp
+
+        for name in ("points.tsv", "state_truth.csv"):
+            shutil.copy(Path(chain_dirs["a"], name), tmp_path / name)
+        iterations = []
+        smacof_mds = lnp.smacof_mds
+
+        def spy(*args, **kwargs):
+            coords, history = smacof_mds(*args, **kwargs)
+            iterations.append(len(history) - 1)
+            return coords, history
+
+        monkeypatch.setattr(lnp, "smacof_mds", spy)
+        args = ["sweep", "--workdir", str(tmp_path), "--runs", "2", "--k_min", "2",
+                "--k_max", "3", "--label_counts", "4"]
+        assert main(args + ["--smacof_iters", "3"]) == 0
+        assert len(iterations) == 2 and max(iterations) <= 3
+        iterations.clear()
+        assert main(args + ["--smacof_iters", "500"]) == 0
+        assert len(iterations) == 2 and max(iterations) > 3
+
     def test_predictions_schema(self, chain_dirs):
         lines = Path(chain_dirs["a"], "predictions.csv").read_text().splitlines()
         assert lines[0] == "entity,class,score_1,score_2"
@@ -239,6 +262,33 @@ class TestVerifyStage:
         (Path(tmp_path) / "model.bin").write_bytes(b"RELOPOWE" + b"\x00" * 17)
         args = ["verify", "--workdir", str(tmp_path)]
         assert main(args) == 3
+
+
+class TestArtifactTables:
+    def test_entity_id_with_a_comma_round_trips(self, tmp_path):
+        from relop.pipeline import _read_entity_csv, _write_csv
+
+        rows = [("Washington, D.C.", "clinton"), ('say "hi"', "trump"), ("WY", "trump")]
+        path = tmp_path / "labels.csv"
+        path.write_text('entity,class\n"Washington, D.C.",clinton\n')
+        assert _read_entity_csv(path) == {"Washington, D.C.": "clinton"}
+        _write_csv(path, ("entity", "class"), rows)
+        lines = path.read_text().splitlines()
+        assert lines[1] == '"Washington, D.C.",clinton' and lines[3] == "WY,trump"
+        assert _read_entity_csv(path) == dict(rows)
+
+    def test_hashtag_with_a_comma_reaches_the_training_set(self, tmp_path):
+        from relop.hashtags import OpinionLabel, write_label_map
+        from relop.ingest import content_tokens, tokenize
+
+        tokens = [t.surface for t in content_tokens(tokenize("vote #maga,#trump2016 rally"))]
+        assert tokens == ["vote", "#maga,#trump2016", "rally"]
+        record = {"id": "1", "user_id": "u1", "state": None, "tokens": tokens}
+        Path(tmp_path, "clean.jsonl").write_text(json.dumps(record) + "\n")
+        tag = "#maga,#trump2016"
+        write_label_map(tmp_path / "hashtag_labels.csv", {tag: OpinionLabel.PRO_TRUMP}, {tag: 1})
+        assert main(["label-tweets", "--workdir", str(tmp_path)]) == 0
+        assert Path(tmp_path, "training_set.tsv").read_text() == "pro_trump\tvote rally\n"
 
 
 class TestFixtures:
