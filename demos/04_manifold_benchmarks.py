@@ -67,5 +67,5 @@ def d_embed_fn(rng, k, run):
     return pairwise_euclidean(lle_embedding(wm, 2))
 
 
-k_star, table = select_k(lambda: d_orig, d_embed_fn, range(2, 26), runs=15, seed=4)
+k_star, table = select_k(d_orig, d_embed_fn, range(2, 26), runs=15, seed=4)
 print(f"\nPNE-selected neighborhood size: k* = {k_star}")

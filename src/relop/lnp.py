@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -314,7 +314,6 @@ class LnpProblem:
     k: int
     metric: str = "euclidean"
     seed: int = 0
-    ids: Optional[list[str]] = None
     # the prediction path needs a contractive propagation matrix, so it
     # defaults to the constrained weight solve; flip to compare with the
     # unconstrained variant (divergence is then monitored and reported)

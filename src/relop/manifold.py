@@ -184,7 +184,7 @@ def pne(d_orig: np.ndarray, d_embed: np.ndarray, k: int) -> float:
 
 
 def select_k(
-    d_orig_fn: Callable[[], np.ndarray],
+    d_orig: np.ndarray,
     d_embed_fn: Callable[[np.random.Generator, int, int], np.ndarray],
     k_range: Iterable[int],
     runs: int = 50,
@@ -192,7 +192,7 @@ def select_k(
 ) -> tuple[int, list[dict]]:
     """Pick the k minimizing the median PNE across seeded runs.
 
-    ``d_orig_fn()`` supplies the original-space distances once;
+    ``d_orig`` holds the original-space distances;
     ``d_embed_fn(rng, k, run)`` supplies the embedding-space distances for a
     given neighborhood size within a seeded run (the embedding may depend on
     k, and the per-run rng carries the stochastic part, e.g. an MDS start).
@@ -202,7 +202,6 @@ def select_k(
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range is empty")
-    d_orig = d_orig_fn()
     children = np.random.SeedSequence(seed).spawn(runs)
     rows: list[dict] = []
     per_k: dict[int, list[float]] = {k: [] for k in ks}

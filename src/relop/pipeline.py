@@ -9,7 +9,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +61,28 @@ def _work(config: PipelineConfig, name: str) -> Path:
     return Path(config.workdir) / name
 
 
-def _input_or(config_value: str, fallback: Path) -> Path:
-    return Path(config_value) if config_value else fallback
+# input artifact -> the config key that relocates it when set
+_RELOCATED_BY = {
+    "corpus.jsonl": "corpus",
+    "initial_labels.csv": "labels_file",
+    "state_truth.csv": "truth_file",
+    "seeds.csv": "seeds_file",
+    "gazetteer.csv": "gazetteer",
+    "official_clients.txt": "official_clients_file",
+    "population_2016.csv": "population_file",
+}
+# inputs shipped in relop/data; every other artifact lives in the work directory
+_PACKAGED = {"seeds.csv", "gazetteer.csv", "official_clients.txt", "population_2016.csv"}
+
+
+def input_path(config: PipelineConfig, name: str) -> Path:
+    """Where a stage reads artifact ``name``: the path its config key names
+    when that key is set, else the packaged data file or the work-directory
+    artifact. Outputs always go to the work directory (``_work``)."""
+    key = _RELOCATED_BY.get(name)
+    if key and getattr(config, key):
+        return Path(getattr(config, key))
+    return data_path(name) if name in _PACKAGED else _work(config, name)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +137,6 @@ def _read_vocab(path: Path) -> Vocabulary:
     if vocab.index != order:
         raise DataError(f"vocabulary file {path} is not in canonical order")
     return vocab
-
-
-def _load_official_clients(config: PipelineConfig) -> set[str]:
-    path = _input_or(config.official_clients_file, data_path("official_clients.txt"))
-    return {
-        line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()
-    }
-
-
-def _load_gazetteer(config: PipelineConfig) -> Gazetteer:
-    return Gazetteer.from_csv(_input_or(config.gazetteer, data_path("gazetteer.csv")))
 
 
 def _class_mapping(*label_maps: dict[str, str]) -> list[str]:
@@ -191,14 +200,16 @@ def stage_synth(config: PipelineConfig) -> dict:
 
 
 def stage_ingest(config: PipelineConfig) -> dict:
-    corpus_path = _input_or(config.corpus, _work(config, "corpus.jsonl"))
-    with open(corpus_path, encoding="utf-8") as fh:
+    with open(input_path(config, "corpus.jsonl"), encoding="utf-8") as fh:
         posts, skipped = parse_posts(fh)
     relevant = filter_relevant(
         posts, parse_str_list(config.keywords_a), parse_str_list(config.keywords_b)
     )
-    official, fraction = filter_bots(relevant, _load_official_clients(config))
-    gazetteer = _load_gazetteer(config)
+    clients = input_path(config, "official_clients.txt").read_text(encoding="utf-8")
+    official, fraction = filter_bots(
+        relevant, {line.strip() for line in clients.splitlines() if line.strip()}
+    )
+    gazetteer = Gazetteer.from_csv(input_path(config, "gazetteer.csv"))
     n_state = 0
     with open(_work(config, "clean.jsonl"), "w", encoding="utf-8") as fh:
         for post in official:
@@ -229,10 +240,10 @@ def stage_ingest(config: PipelineConfig) -> dict:
 
 
 def stage_hashtag_net(config: PipelineConfig) -> dict:
-    records = _read_clean_corpus(_work(config, "clean.jsonl"))
+    records = _read_clean_corpus(input_path(config, "clean.jsonl"))
     graph = ht.build_cooccurrence(r["tokens"] for r in records)
     filtered = ht.significance_filter(graph, config.p_o)
-    seeds = ht.read_seeds(_input_or(config.seeds_file, data_path("seeds.csv")))
+    seeds = ht.read_seeds(input_path(config, "seeds.csv"))
     rng = np.random.default_rng(stage_seed(config, "hashtag-net"))
     labels = ht.propagate_hashtag_labels(
         filtered, seeds, rng, config.lpa_max_sweeps, weighted=config.lpa_weighted
@@ -250,15 +261,15 @@ def stage_hashtag_net(config: PipelineConfig) -> dict:
 
 
 def stage_label_tweets(config: PipelineConfig) -> dict:
-    records = _read_clean_corpus(_work(config, "clean.jsonl"))
-    labels, _ = ht.read_label_map(_work(config, "hashtag_labels.csv"))
+    records = _read_clean_corpus(input_path(config, "clean.jsonl"))
+    labels, _ = ht.read_label_map(input_path(config, "hashtag_labels.csv"))
     training = ht.label_tweets([r["tokens"] for r in records], labels)
     ht.write_training_set(_work(config, "training_set.tsv"), training)
     return {"examples": len(training.examples), **training.category_counts}
 
 
 def stage_train(config: PipelineConfig) -> dict:
-    training = ht.read_training_set(_work(config, "training_set.tsv"))
+    training = ht.read_training_set(input_path(config, "training_set.tsv"))
     vocab = build_vocab((tokens for tokens, _ in training.examples), config.min_count)
     model_config = oowe.OoweConfig(
         window=config.window,
@@ -286,8 +297,8 @@ def stage_train(config: PipelineConfig) -> dict:
 
 
 def stage_embed(config: PipelineConfig) -> dict:
-    model = oowe.load_model(_work(config, "model.bin"))
-    vocab = _read_vocab(_work(config, "vocab.tsv"))
+    model = oowe.load_model(input_path(config, "model.bin"))
+    vocab = _read_vocab(input_path(config, "vocab.tsv"))
     _work(config, "embeddings.tsv").write_text(
         oowe.export_embeddings(model, vocab), encoding="utf-8"
     )
@@ -295,10 +306,10 @@ def stage_embed(config: PipelineConfig) -> dict:
 
 
 def stage_aggregate(config: PipelineConfig) -> dict:
-    records = _read_clean_corpus(_work(config, "clean.jsonl"))
-    model = oowe.load_model(_work(config, "model.bin"))
-    vocab = _read_vocab(_work(config, "vocab.tsv"))
-    labels, _ = ht.read_label_map(_work(config, "hashtag_labels.csv"))
+    records = _read_clean_corpus(input_path(config, "clean.jsonl"))
+    model = oowe.load_model(input_path(config, "model.bin"))
+    vocab = _read_vocab(input_path(config, "vocab.tsv"))
+    labels, _ = ht.read_label_map(input_path(config, "hashtag_labels.csv"))
     result = agg.aggregate_corpus(
         model,
         vocab,
@@ -310,8 +321,7 @@ def stage_aggregate(config: PipelineConfig) -> dict:
         result.tweet_points + result.user_points + result.state_points,
     )
     populations = {}
-    pop_path = _input_or(config.population_file, data_path("population_2016.csv"))
-    for entity, value in _read_entity_csv(pop_path).items():
+    for entity, value in _read_entity_csv(input_path(config, "population_2016.csv")).items():
         populations[entity] = int(value)
     rows = agg.state_summaries(result.state_user_vectors, populations)
     _write_csv(
@@ -336,7 +346,7 @@ def stage_aggregate(config: PipelineConfig) -> dict:
 
 
 def _load_problem_points(config: PipelineConfig):
-    points = agg.read_points(_work(config, "points.tsv"), level="state")
+    points = agg.read_points(input_path(config, "points.tsv"), level="state")
     if not points:
         raise DataError("points.tsv holds no state-level points")
     ids = [p.entity_id for p in points]
@@ -346,8 +356,7 @@ def _load_problem_points(config: PipelineConfig):
 
 def stage_predict(config: PipelineConfig) -> dict:
     ids, coords = _load_problem_points(config)
-    labels_path = _input_or(config.labels_file, _work(config, "initial_labels.csv"))
-    raw_labels = _read_entity_csv(labels_path)
+    raw_labels = _read_entity_csv(input_path(config, "initial_labels.csv"))
     classes = _class_mapping(raw_labels)
     index_of = {name: i for i, name in enumerate(classes)}
     row_of = {entity: i for i, entity in enumerate(ids)}
@@ -378,23 +387,23 @@ def stage_predict(config: PipelineConfig) -> dict:
             for i in range(len(ids))
         ),
     )
-    return {"entities": len(ids), "k": k, "metric": config.lnp_metric}
-
-
-def _load_truth(config: PipelineConfig, ids: list[str]):
-    truth_path = _input_or(config.truth_file, _work(config, "state_truth.csv"))
-    raw = _read_entity_csv(truth_path)
-    missing = sorted(set(ids) - set(raw))
-    if missing:
-        raise DataError(f"truth file lacks entities: {missing}")
-    classes = _class_mapping(raw)
-    index_of = {name: i for i, name in enumerate(classes)}
-    return np.array([index_of[raw[e]] for e in ids], dtype=np.int64), classes
+    return {
+        "entities": len(ids),
+        "k": k,
+        "metric": config.lnp_metric,
+        "unreached_rows": int((~soft.any(axis=1)).sum()),  # no label reached: all zero
+        "diverged_rows": int(np.isnan(soft).any(axis=1).sum()),
+    }
 
 
 def stage_sweep(config: PipelineConfig) -> dict:
     ids, coords = _load_problem_points(config)
-    truth, _ = _load_truth(config, ids)
+    raw = _read_entity_csv(input_path(config, "state_truth.csv"))
+    missing = sorted(set(ids) - set(raw))
+    if missing:
+        raise DataError(f"truth file lacks entities: {missing}")
+    index_of = {name: i for i, name in enumerate(_class_mapping(raw))}
+    truth = np.array([index_of[raw[e]] for e in ids], dtype=np.int64)
     ks = [k for k in range(config.k_min, config.k_max + 1) if k < len(ids)]
     if not ks:
         raise DataError("no usable k in the configured range")
@@ -449,7 +458,7 @@ def stage_metrics(config: PipelineConfig) -> dict:
         return mf.pairwise_euclidean(lnp.lle_embedding(wm, dim))
 
     k_star, table = mf.select_k(
-        lambda: mf.pairwise_euclidean(coords),
+        mf.pairwise_euclidean(coords),
         d_embed_fn,
         ks,
         runs=config.runs,
@@ -472,15 +481,13 @@ def stage_metrics(config: PipelineConfig) -> dict:
 
 def stage_plot(config: PipelineConfig) -> dict:
     ids, coords = _load_problem_points(config)
-    try:
-        truth, _ = _load_truth(config, ids)
-        truth_path = _input_or(config.truth_file, _work(config, "state_truth.csv"))
-        class_names = _read_entity_csv(truth_path)
-    except (DataError, FileNotFoundError):
-        class_names = {e: "state" for e in ids}
+    truth_path = input_path(config, "state_truth.csv")
+    class_names = _read_entity_csv(truth_path) if truth_path.exists() else {}
+    if not class_names.keys() >= set(ids):
+        class_names = {}  # every state is drawn as class "state"
     flat = mf.classical_mds(mf.pairwise_euclidean(coords), 2)
     sizes: dict[str, float] = {}
-    summary_path = _work(config, "state_summary.csv")
+    summary_path = input_path(config, "state_summary.csv")
     if summary_path.exists():
         column = "stddev" if config.plot_size_channel == "stddev" else "representativeness"
         for row in _read_csv(summary_path):
@@ -495,7 +502,7 @@ def stage_plot(config: PipelineConfig) -> dict:
         encoding="utf-8",
     )
     outputs = 1
-    sweep_path = _work(config, "sweep.csv")
+    sweep_path = input_path(config, "sweep.csv")
     if sweep_path.exists():
         rows = [
             lnp.SweepRow(
@@ -516,7 +523,7 @@ def stage_plot(config: PipelineConfig) -> dict:
                 encoding="utf-8",
             )
             outputs += 1
-    quality_path = _work(config, "quality_summary.csv")
+    quality_path = input_path(config, "quality_summary.csv")
     if quality_path.exists():
         curve = [
             (int(r["k"]), float(r["pne_median"]), float(r["pne_lo"]), float(r["pne_hi"]))
@@ -605,7 +612,7 @@ def _check_gradients(config: PipelineConfig) -> tuple[bool, str]:
         model.w2 += rng.standard_normal(model.w2.shape) * 0.5
         model.embeddings += rng.standard_normal(model.embeddings.shape) * 0.5
         worst = max(worst, _gradient_error(model, rng, n_ngrams=20))
-    model_path = _work(config, "model.bin")
+    model_path = input_path(config, "model.bin")
     if model_path.exists():
         try:
             saved = oowe.load_model(model_path)
@@ -710,90 +717,52 @@ def stage_verify(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # stage registry and runner
 
-STAGES: dict[str, tuple] = {
-    # name -> (fn, input paths fn, output names)
-    "synth": (
+
+class Stage(NamedTuple):
+    fn: Callable[[PipelineConfig], dict]
+    inputs: tuple[str, ...]  # required; a missing one fails the stage before it runs
+    outputs: tuple[str, ...]  # written to the work directory, removed if the stage fails
+    optional: tuple[str, ...] = ()  # read and recorded only when present
+
+
+STAGES: dict[str, Stage] = {
+    "synth": Stage(
         stage_synth,
-        lambda c: [],
-        ["corpus.jsonl", "tweet_truth.csv", "user_truth.csv", "state_truth.csv", "initial_labels.csv"],
+        (),
+        ("corpus.jsonl", "tweet_truth.csv", "user_truth.csv", "state_truth.csv",
+         "initial_labels.csv"),
     ),
-    "ingest": (
-        stage_ingest,
-        lambda c: [_input_or(c.corpus, _work(c, "corpus.jsonl"))],
-        ["clean.jsonl"],
+    "ingest": Stage(
+        stage_ingest, ("corpus.jsonl", "official_clients.txt", "gazetteer.csv"), ("clean.jsonl",)
     ),
-    "hashtag-net": (
-        stage_hashtag_net,
-        lambda c: [_work(c, "clean.jsonl"), _input_or(c.seeds_file, data_path("seeds.csv"))],
-        ["hashtag_labels.csv"],
+    "hashtag-net": Stage(stage_hashtag_net, ("clean.jsonl", "seeds.csv"), ("hashtag_labels.csv",)),
+    "label-tweets": Stage(
+        stage_label_tweets, ("clean.jsonl", "hashtag_labels.csv"), ("training_set.tsv",)
     ),
-    "label-tweets": (
-        stage_label_tweets,
-        lambda c: [_work(c, "clean.jsonl"), _work(c, "hashtag_labels.csv")],
-        ["training_set.tsv"],
-    ),
-    "train": (
-        stage_train,
-        lambda c: [_work(c, "training_set.tsv")],
-        ["model.bin", "vocab.tsv", "train_log.csv"],
-    ),
-    "embed": (
-        stage_embed,
-        lambda c: [_work(c, "model.bin"), _work(c, "vocab.tsv")],
-        ["embeddings.tsv"],
-    ),
-    "aggregate": (
+    "train": Stage(stage_train, ("training_set.tsv",), ("model.bin", "vocab.tsv", "train_log.csv")),
+    "embed": Stage(stage_embed, ("model.bin", "vocab.tsv"), ("embeddings.tsv",)),
+    "aggregate": Stage(
         stage_aggregate,
-        lambda c: [
-            _work(c, "clean.jsonl"),
-            _work(c, "model.bin"),
-            _work(c, "vocab.tsv"),
-            _work(c, "hashtag_labels.csv"),
-        ],
-        ["points.tsv", "state_summary.csv"],
+        ("clean.jsonl", "model.bin", "vocab.tsv", "hashtag_labels.csv", "population_2016.csv"),
+        ("points.tsv", "state_summary.csv"),
     ),
-    "predict": (
-        stage_predict,
-        lambda c: [
-            _work(c, "points.tsv"),
-            _input_or(c.labels_file, _work(c, "initial_labels.csv")),
-        ],
-        ["predictions.csv"],
-    ),
-    "sweep": (
-        stage_sweep,
-        lambda c: [
-            _work(c, "points.tsv"),
-            _input_or(c.truth_file, _work(c, "state_truth.csv")),
-        ],
-        ["sweep.csv"],
-    ),
-    "metrics": (
+    "predict": Stage(stage_predict, ("points.tsv", "initial_labels.csv"), ("predictions.csv",)),
+    "sweep": Stage(stage_sweep, ("points.tsv", "state_truth.csv"), ("sweep.csv",)),
+    "metrics": Stage(
         stage_metrics,
-        lambda c: [_work(c, "points.tsv")],
-        ["quality_runs.csv", "quality_summary.csv", "selected_k.txt"],
+        ("points.tsv",),
+        ("quality_runs.csv", "quality_summary.csv", "selected_k.txt"),
     ),
-    "plot": (
+    "plot": Stage(
         stage_plot,
-        lambda c: [_work(c, "points.tsv")],
-        ["scatter_states.svg"],
+        ("points.tsv",),
+        ("scatter_states.svg", "error_curves.svg", "pne_curve.svg"),
+        ("state_truth.csv", "state_summary.csv", "sweep.csv", "quality_summary.csv"),
     ),
-    "verify": (stage_verify, lambda c: [], ["verify_report.txt"]),
+    "verify": Stage(stage_verify, (), ("verify_report.txt",), ("model.bin",)),
 }
 
-CHAIN = [
-    "synth",
-    "ingest",
-    "hashtag-net",
-    "label-tweets",
-    "train",
-    "embed",
-    "aggregate",
-    "predict",
-    "sweep",
-    "metrics",
-    "plot",
-]
+CHAIN = [name for name in STAGES if name != "verify"]
 
 
 def run_stage(name: str, config: PipelineConfig) -> dict:
@@ -806,7 +775,7 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
         return counts
     if name not in STAGES:
         raise UsageError(f"unknown stage {name!r}; expected one of {sorted(STAGES)} or 'all'")
-    fn, inputs_fn, output_names = STAGES[name]
+    stage = STAGES[name]
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     lock_path = workdir / ".lock"
@@ -817,14 +786,16 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
             f"another invocation holds {lock_path}; remove it if that run is dead"
         ) from None
     try:
-        inputs = [Path(p) for p in inputs_fn(config)]
+        inputs = [input_path(config, n) for n in stage.inputs]
         for path in inputs:
             if not path.exists():
                 raise DataError(f"missing input: {path}")
-        outputs = [_work(config, n) for n in output_names]
+        optional = (input_path(config, n) for n in stage.optional)
+        inputs += [path for path in optional if path.exists()]
+        outputs = [_work(config, n) for n in stage.outputs]
         started = time.time()
         try:
-            counts = fn(config)
+            counts = stage.fn(config)
         except Exception:
             for path in outputs:
                 if path.exists():

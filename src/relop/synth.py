@@ -3,7 +3,7 @@
 The oracles deliberately avoid the code paths of the components they check:
 the hypergeometric PMF is exact integer arithmetic, gradients come from
 central differences, reconstruction weights from direct search, and the
-label fixed point from a dense linear solve.
+label fixed point from iterating the propagation step from zero.
 """
 
 from __future__ import annotations

@@ -427,7 +427,7 @@ def test_11_pne_selection(moons, sweep_rows):
         wm = reconstruction_weights(cache["coords"], k, nonnegative=True)
         return pairwise_euclidean(lle_embedding(wm, 2))
 
-    k_star, _ = select_k(lambda: d_orig, d_embed_fn, K_RANGE, runs=50, seed=PROTOCOL_SEED)
+    k_star, _ = select_k(d_orig, d_embed_fn, K_RANGE, runs=50, seed=PROTOCOL_SEED)
 
     pooled: dict[int, list[int]] = {}
     for row in sweep_rows:

@@ -279,7 +279,7 @@ class TestSelectK:
         d = pairwise_euclidean(np.random.default_rng(6).standard_normal((12, 3)))
 
         # PNE identically zero for every k -> tie broken by smallest k
-        k_star, rows = select_k(lambda: d, lambda rng, k, run: d, range(2, 8), runs=3, seed=0)
+        k_star, rows = select_k(d, lambda rng, k, run: d, range(2, 8), runs=3, seed=0)
         assert k_star == 2
         assert len(rows) == 6 * 3
 
@@ -290,7 +290,7 @@ class TestSelectK:
         d_o = pairwise_euclidean(pts)
         d_e = pairwise_euclidean(noisy)
 
-        k_star, rows = select_k(lambda: d_o, lambda rng, k, run: d_e, range(2, 10), runs=1, seed=1)
+        k_star, rows = select_k(d_o, lambda rng, k, run: d_e, range(2, 10), runs=1, seed=1)
         per_k = {}
         for row in rows:
             per_k.setdefault(row["k"], []).append(row["pne"])
@@ -302,7 +302,7 @@ class TestSelectK:
         pts = rng.standard_normal((15, 3))
         d_o = pairwise_euclidean(pts)
         d_e = pairwise_euclidean(pts + 0.2 * rng.standard_normal(pts.shape))
-        _, rows = select_k(lambda: d_o, lambda rng, k, run: d_e, range(2, 5), runs=2, seed=4)
+        _, rows = select_k(d_o, lambda rng, k, run: d_e, range(2, 5), runs=2, seed=4)
         for row in rows:
             assert row["np"] == neighborhood_preservation(d_o, d_e, row["k"])
             assert row["st"] == stress_measure(d_o, d_e)
@@ -315,7 +315,7 @@ class TestSelectK:
         def d_embed(rng, k, run):
             return d * (1.0 + 0.1 * abs(k - 5))
 
-        k_star, _ = select_k(lambda: d, d_embed, range(2, 9), runs=2, seed=2)
+        k_star, _ = select_k(d, d_embed, range(2, 9), runs=2, seed=2)
         assert k_star == 5
 
     def test_deterministic(self):
@@ -324,6 +324,6 @@ class TestSelectK:
         def d_embed(rng, k, run):
             return d * rng.uniform(0.9, 1.1)
 
-        first = select_k(lambda: d, d_embed, range(2, 6), runs=5, seed=3)
-        second = select_k(lambda: d, d_embed, range(2, 6), runs=5, seed=3)
+        first = select_k(d, d_embed, range(2, 6), runs=5, seed=3)
+        second = select_k(d, d_embed, range(2, 6), runs=5, seed=3)
         assert first == second

@@ -3,6 +3,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relop.cli import main
@@ -318,3 +319,83 @@ class TestFixtures:
 
         populations = _read_entity_csv(data_path("population_2016.csv"))
         assert set(populations) == US_STATE_CODES
+
+
+def _manifest(workdir) -> list[dict]:
+    return [json.loads(line) for line in Path(workdir, "runs.jsonl").read_text().splitlines()]
+
+
+class TestManifests:
+    def test_manifest_records_every_file_a_stage_opens(self, tmp_path, monkeypatch):
+        """Every file a stage reads is a recorded input and every file it
+        writes a recorded output; only the manifest itself is exempt."""
+        import builtins
+        import io
+
+        from relop import pipeline
+
+        opened: list[tuple[Path, str]] = []
+        hashing = []
+        real_open, real_sha256 = builtins.open, pipeline._sha256
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not hashing and isinstance(file, (str, Path)):
+                opened.append((Path(file).resolve(), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        def sha256(path):  # hashing for the manifest is not the stage's own IO
+            hashing.append(path)
+            try:
+                return real_sha256(path)
+            finally:
+                hashing.pop()
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(pipeline, "_sha256", sha256)
+        config = small_config(tmp_path)
+        undeclared = {}
+        for name in [*CHAIN, "verify"]:
+            opened.clear()
+            run_stage(name, config)
+            record = _manifest(tmp_path)[-1]
+            assert record["stage"] == name
+            inputs = {Path(p).resolve() for p in record["inputs"]}
+            outputs = {Path(p).resolve() for p in record["outputs"]}
+            for path, mode in opened:
+                if path.name == "runs.jsonl":
+                    continue
+                writes = any(flag in mode for flag in "wax+")
+                if path not in (outputs if writes else inputs):
+                    undeclared.setdefault(name, set()).add((path.name, mode))
+        assert undeclared == {}
+
+    def test_failed_plot_removes_every_figure(self, tmp_path):
+        config = small_config(tmp_path)
+        figures = ("scatter_states.svg", "error_curves.svg", "pne_curve.svg")
+        for name in figures:
+            Path(tmp_path, name).write_text("<svg/>")
+        Path(tmp_path, "points.tsv").write_text("state\tCA\t3\t0.1 0.")  # truncated row
+        with pytest.raises(ValueError):
+            run_stage("plot", config)
+        assert [name for name in figures if Path(tmp_path, name).exists()] == []
+
+    def test_predict_counts_unreached_rows(self, tmp_path):
+        """Labels in only one of two far clusters reach none of the other's
+        points: their score rows stay all zero and are counted."""
+        rng = np.random.default_rng(0)
+        near = rng.standard_normal((5, 3))
+        far = rng.standard_normal((5, 3)) + 100.0
+        lines = [
+            f"state\t{prefix}{i}\t1\t{' '.join(map(repr, row.tolist()))}\n"
+            for prefix, cloud in (("A", near), ("B", far))
+            for i, row in enumerate(cloud)
+        ]
+        Path(tmp_path, "points.tsv").write_text("".join(lines))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("entity,class\nA0,clinton\nA1,trump\n")
+        config = small_config(tmp_path, lnp_metric="euclidean", lnp_k=3, labels_file=str(labels))
+        counts = run_stage("predict", config)
+        assert counts["unreached_rows"] == 5
+        assert counts["diverged_rows"] == 0
+        assert str(labels) in _manifest(tmp_path)[-1]["inputs"]
