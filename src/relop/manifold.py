@@ -20,26 +20,34 @@ def geodesic_distances(points: np.ndarray, return_neighbor_size: bool = False):
     """Shortest-path distances over the smallest connected m-NN graph.
 
     The neighbor count m grows from 2 until the symmetrized graph is
-    connected; edge weights are Euclidean distances and all-pairs paths come
-    from a Floyd–Warshall pass over the dense edge matrix (inf = no edge).
+    connected (a boolean frontier grown from point 0 reaches every point);
+    edge weights are Euclidean distances and all-pairs paths come from one
+    Floyd–Warshall pass over that graph's dense edge matrix (inf = no edge).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
     euclid = pairwise_euclidean(points)
+    order = knn_sets(euclid, n - 1)
     rows = np.arange(n)[:, None]
     # m = n - 1 is the complete graph, so the loop always ends connected
     for m in range(min(2, n - 1), n):
-        neighbors = knn_sets(euclid, m)
-        out = np.full((n, n), np.inf)
-        out[rows, neighbors] = euclid[rows, neighbors]
-        out = np.minimum(out, out.T)
-        np.fill_diagonal(out, 0.0)
-        for k in range(n):
-            np.minimum(out, out[:, k, None] + out[k], out=out)
-        if np.isfinite(out).all():
+        linked = np.zeros((n, n), dtype=bool)
+        linked[rows, order[:, :m]] = True
+        linked |= linked.T
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        frontier = reached
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if reached.all():
             break
+    out = np.where(linked, euclid, np.inf)
+    np.fill_diagonal(out, 0.0)
+    for k in range(n):
+        np.minimum(out, out[:, k, None] + out[k], out=out)
     if return_neighbor_size:
         return out, m
     return out

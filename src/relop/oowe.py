@@ -237,6 +237,151 @@ def windows_for_indices(indices: list[int], window: int) -> np.ndarray:
     ).reshape(len(indices), window)
 
 
+def _fused_step(model: OoweModel, alpha: float, learning_rate: float):
+    """Return ``step(t, t_r, category) -> loss`` for the training loop.
+
+    One call does what ``loss`` and ``gradients`` followed, when the loss is
+    positive, by ``adagrad_step`` do, with the same floating-point operations
+    in the same order, so the result is bitwise equal. ``w1``, ``b1``, ``w2``
+    and ``b2`` become views of a flat buffer; a step copies the embedding
+    rows it touches in behind them, runs one AdaGrad update of seven
+    in-place ufunc calls over the lot and writes the rows back. The forward
+    and backward passes write into preallocated buffers and the hinges run
+    on Python floats.
+    """
+    w, d, c = model.window, model.embed_dim, model.n_categories
+    h, wd = model.w1.shape
+    names, shapes = ("w1", "b1", "w2", "b2"), ((h, wd), (h,), (c + 1, h), (c + 1,))
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    dense = sum(sizes)
+    # [w1 | b1 | w2 | b2 | up to 2 * window embedding rows]
+    params, accs, grad_t, grad_r, tmp, tmp2 = (np.zeros(dense + 2 * w * d) for _ in range(6))
+
+    def views(flat):
+        ends = np.cumsum(sizes)
+        return [flat[end - n : end].reshape(shape) for shape, n, end in zip(shapes, sizes, ends)]
+
+    for name, param, acc in zip(names, views(params), views(accs)):
+        param[...] = getattr(model, name)
+        acc[...] = getattr(model, "g_" + name)
+        setattr(model, name, param)
+        setattr(model, "g_" + name, acc)
+    grads_t, grads_r = views(grad_t), views(grad_r)
+    # the AdaGrad operands of a step that touches k distinct embedding rows
+    spans = [
+        tuple(buf[: dense + k * d] for buf in (params, accs, grad_t, tmp, tmp2))
+        + tuple(buf[dense : dense + k * d].reshape(k, d) for buf in (params, accs, grad_t))
+        for k in range(2 * w + 1)
+    ]
+    dense_t, dense_r = grad_t[:dense], grad_r[:dense]
+    emb, g_emb = model.embeddings, model.g_embeddings
+    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
+    w1_t, w2_t = w1.T, w2.T
+    # row 0 holds the original window, row 1 the corrupted one; elementwise
+    # work covers both rows in one call, each matrix product stays a gemv
+    x, z, a, scores = np.empty((2, wd)), np.empty((2, h)), np.empty((2, h)), np.empty((2, c + 1))
+    (x_t, x_r), (z_t, z_r), (a_t, a_r), (scores_t, scores_r) = x, z, a, scores
+    x_t_rows, x_r_rows = x_t.reshape(w, d), x_r.reshape(w, d)
+    g_a = np.empty(h)
+    live = np.empty(h, dtype=bool)
+    g_x = np.empty((2, wd))
+    g_x_t, g_x_r = g_x
+    g_x_rows = g_x.reshape(2 * w, d)
+    g_t = np.zeros(c + 1)
+    keep = 1.0 - alpha
+    g_r = np.zeros(c + 1)
+    g_r[0] = keep  # the corrupted window only ever carries the language hinge
+    opinion = alpha > 0.0 and c > 1
+    unit = alpha / (c - 1) if opinion else 0.0
+    # the reference subtracts ``unit`` once per active opinion hinge
+    g_true = [0.0]
+    for _ in range(c):
+        g_true.append(g_true[-1] - unit)
+
+    def backward(g_s, x_s, z_s, a_s, grads, g_x_out):
+        """Gradients of the dense parameters into ``grads``, of x into ``g_x_out``."""
+        gw1, gb1, gw2, gb2 = grads
+        np.multiply(g_s[:, None], a_s, out=gw2)
+        np.copyto(gb2, g_s)
+        np.dot(w2_t, g_s, out=g_a)
+        np.abs(z_s, out=gb1)
+        np.less(gb1, 1.0, out=live)
+        np.copyto(gb1, 0.0)
+        np.copyto(gb1, g_a, where=live)
+        np.multiply(gb1[:, None], x_s, out=gw1)
+        np.dot(w1_t, gb1, out=g_x_out)
+
+    def step(t, t_r, category: int) -> float:
+        emb.take(t, 0, x_t_rows, "clip")  # indices come from the vocabulary
+        emb.take(t_r, 0, x_r_rows, "clip")
+        np.dot(w1, x_t, out=z_t)
+        np.dot(w1, x_r, out=z_r)
+        np.add(z, b1, out=z)
+        np.maximum(z, -1.0, out=a)
+        np.minimum(a, 1.0, out=a)
+        np.dot(w2, a_t, out=scores_t)
+        np.dot(w2, a_r, out=scores_r)
+        np.add(scores, b2, out=scores)
+        st, sr = scores.tolist()
+        lang_margin = 1.0 + sr[0] - st[0]
+        total = keep * max(0.0, lang_margin)
+        active = []
+        if opinion:
+            opin = 0.0
+            for j in range(1, c + 1):
+                if j == category:
+                    continue
+                margin = 1.0 + st[j] - st[category]
+                if margin > 0.0:
+                    opin += margin
+                    active.append(j)
+            total += unit * opin
+        if not total > 0.0:
+            return total
+
+        g_t.fill(0.0)
+        if lang_margin > 0.0:
+            g_t[0] = 0.0 - keep
+        for j in active:
+            g_t[j] = unit
+        g_t[category] = g_true[len(active)]
+        backward(g_t, x_t, z_t, a_t, grads_t, g_x_t)
+        keys = t.tolist()
+        if lang_margin > 0.0 and keep != 0.0:
+            backward(g_r, x_r, z_r, a_r, grads_r, g_x_r)
+            np.add(dense_t, dense_r, out=dense_t)
+            keys += t_r.tolist()
+
+        # one gradient row per distinct index, summed in position order: t, then t_r
+        slot: dict[int, int] = {}
+        first, dups = [], []
+        for pos, idx in enumerate(keys):
+            s = slot.setdefault(idx, len(first))
+            if s == len(first):
+                first.append(pos)
+            else:
+                dups.append((s, pos))
+        rows = np.array(list(slot))
+        param, acc, g, t1, t2, p_emb, a_emb, g_emb_rows = spans[len(rows)]
+        g_x_rows.take(first, 0, g_emb_rows, "clip")
+        for s, pos in dups:
+            g_emb_rows[s] += g_x_rows[pos]
+        emb.take(rows, 0, p_emb, "clip")
+        g_emb.take(rows, 0, a_emb, "clip")
+        np.multiply(g, g, out=t1)
+        np.add(acc, t1, out=acc)
+        np.sqrt(acc, out=t1)
+        np.add(t1, ADAGRAD_EPS, out=t1)
+        np.multiply(g, learning_rate, out=t2)
+        np.divide(t2, t1, out=t2)
+        np.subtract(param, t2, out=param)
+        emb[rows] = p_emb
+        g_emb[rows] = a_emb
+        return total
+
+    return step
+
+
 def train(
     training_set: TrainingSet,
     vocab: Vocabulary,
@@ -245,15 +390,22 @@ def train(
     """Train the embedding over shuffled windows; returns (model, epoch losses).
 
     One corruption is drawn per window visit. Training is a sequential
-    single-writer loop, so results are bitwise reproducible for a fixed seed.
+    single-writer loop of fused steps (``_fused_step``), bitwise equal to
+    ``gradients``, ``loss`` and ``adagrad_step`` applied visit by visit, so
+    results are reproducible for a fixed seed.
     """
     if not training_set.examples:
         raise ValueError("training set is empty")
-    if len(training_set.categories) != config.categories:
+    c = config.categories
+    if len(training_set.categories) != c:
         raise ValueError(
-            f"config.categories={config.categories} but training set has "
+            f"config.categories={c} but training set has "
             f"{len(training_set.categories)} categories"
         )
+    if any(not (1 <= category <= c) for _, category in training_set.examples):
+        raise ValueError(f"category must be in 1..{c}")
+    if c == 1 and config.alpha > 0.0:
+        raise ValueError("opinion hinge undefined for a single category")
     ngram_list = []
     cat_list = []
     for tokens, category in training_set.examples:
@@ -265,25 +417,20 @@ def train(
     if not ngram_list:
         raise ValueError("training set has no usable tokens")
     ngrams = np.vstack(ngram_list)
-    cats = np.array(cat_list, dtype=np.int64)
 
     rng = np.random.default_rng(config.seed)
     model = init_model(len(vocab), config, rng)
+    step = _fused_step(model, config.alpha, config.learning_rate)
     vocab_size = len(vocab)
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(ngrams.shape[0])
         total = 0.0
-        for pos in order:
+        for pos in order.tolist():
             t = ngrams[pos]
-            t_r = corrupt(t, vocab_size, rng)
-            value, grads = _loss_and_gradients(
-                model, t, t_r, int(cats[pos]), config.alpha, want_grads=True
-            )
-            total += value
-            if value > 0.0:
-                adagrad_step(model, grads, config.learning_rate)
-        epoch_losses.append(total / ngrams.shape[0])
+            total += step(t, corrupt(t, vocab_size, rng), cat_list[pos])
+        # numpy scalars, as the reference loop returns (train_log.csv writes their repr)
+        epoch_losses.append(np.float64(total) / ngrams.shape[0])
     return model, epoch_losses
 
 

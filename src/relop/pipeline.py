@@ -721,7 +721,7 @@ def stage_verify(config: PipelineConfig) -> dict:
 class Stage(NamedTuple):
     fn: Callable[[PipelineConfig], dict]
     inputs: tuple[str, ...]  # required; a missing one fails the stage before it runs
-    outputs: tuple[str, ...]  # written to the work directory, removed if the stage fails
+    outputs: tuple[str, ...]  # written to the work directory; removed before the stage runs
     optional: tuple[str, ...] = ()  # read and recorded only when present
 
 
@@ -766,8 +766,9 @@ CHAIN = [name for name in STAGES if name != "verify"]
 
 
 def run_stage(name: str, config: PipelineConfig) -> dict:
-    """Run one stage: check inputs, execute, clean up on failure, and append
-    a manifest record (stage, config hash, seed, duration, counts, hashes)."""
+    """Run one stage: check inputs, remove its declared outputs, execute,
+    clean up on failure, and append a manifest record (stage, config hash,
+    seed, duration, counts, hashes)."""
     if name == "all":
         counts = {}
         for stage in CHAIN:
@@ -793,13 +794,15 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
         optional = (input_path(config, n) for n in stage.optional)
         inputs += [path for path in optional if path.exists()]
         outputs = [_work(config, n) for n in stage.outputs]
+        # an output this run does not write must not pass for one it did
+        for path in outputs:
+            path.unlink(missing_ok=True)
         started = time.time()
         try:
             counts = stage.fn(config)
         except Exception:
             for path in outputs:
-                if path.exists():
-                    path.unlink()
+                path.unlink(missing_ok=True)
             raise
         duration = time.time() - started
         manifest = {

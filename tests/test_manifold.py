@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import spearmanr
 
 from relop.manifold import (
@@ -73,6 +73,29 @@ class TestGeodesic:
             for j in order[i, :m]:
                 adjacency[i, j] = adjacency[j, i] = euc[i, j]
         want = shortest_path(adjacency, method="D", directed=False)
+        np.testing.assert_allclose(geo, want, atol=1e-10)
+
+    def test_noisy_moons_neighbor_size_and_paths_match_scipy(self):
+        """A noisy 500-point two-moons cloud needs m = 20: m is the smallest
+        neighbor count whose symmetrized m-NN graph scipy finds connected, and
+        the distances are scipy's shortest paths over that graph."""
+        pts = gen_manifold("two_moons", 500, noise=0.05, seed=1).points
+        geo, m = geodesic_distances(pts, return_neighbor_size=True)
+        euc = pairwise_euclidean(pts)
+        masked = euc.copy()
+        np.fill_diagonal(masked, np.inf)
+        order = np.argsort(masked, axis=1, kind="stable")
+        rows = np.arange(500)[:, None]
+
+        def graph(size):
+            adjacency = np.zeros_like(euc)
+            adjacency[rows, order[:, :size]] = euc[rows, order[:, :size]]
+            return np.maximum(adjacency, adjacency.T)
+
+        components = [connected_components(graph(size), directed=False)[0] for size in range(2, 22)]
+        connected = [count == 1 for count in components]
+        assert m == 2 + connected.index(True) == 20
+        want = shortest_path(graph(m), method="D", directed=False)
         np.testing.assert_allclose(geo, want, atol=1e-10)
 
     def test_minimum_connected_neighborhood(self):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import relop.oowe
 from relop.hashtags import TrainingSet
 from relop.ingest import build_vocab
 from relop.oowe import (
@@ -294,6 +297,46 @@ def toy_training_set(n=40, seed=0):
                        category_counts={"side_a": n // 2, "side_b": n - n // 2})
 
 
+def oracle_training_set(categories, seed=0):
+    """Short and long examples, a token repeated through a whole window, and
+    a one-off token that falls to UNK under ``min_count=2``."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(8)]
+    examples = [(["once"], 1), (["w0"] * 5, categories), (["w1", "w2", "w1"], 2)]
+    for i in range(14):
+        size = int(rng.integers(1, 7))
+        examples.append(([words[int(rng.integers(8))] for _ in range(size)], i % categories + 1))
+    names = tuple(f"c{j}" for j in range(categories))
+    return TrainingSet(examples=examples, categories=names, category_counts={})
+
+
+def reference_train(training_set, vocab, config):
+    """The visit-by-visit loop that ``train`` must equal bit for bit: one
+    permutation per epoch, then per visit ``corrupt``, ``loss`` and
+    ``gradients``, and ``adagrad_step`` when the loss is positive."""
+    windows, cats = [], []
+    for tokens, category in training_set.examples:
+        if tokens:
+            win = windows_for_indices([vocab.lookup(t) for t in tokens], config.window)
+            windows.extend(win)
+            cats.extend([category] * len(win))
+    rng = np.random.default_rng(config.seed)
+    model = init_model(len(vocab), config, rng)
+    losses = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for pos in rng.permutation(len(windows)):
+            t = windows[pos]
+            t_r = corrupt(t, len(vocab), rng)
+            value = loss(model, t, t_r, cats[pos], config.alpha)
+            grads = gradients(model, t, t_r, cats[pos], config.alpha)
+            total += value
+            if value > 0.0:
+                adagrad_step(model, grads, config.learning_rate)
+        losses.append(total / len(windows))
+    return model, losses
+
+
 class TestTrain:
     def test_loss_decreases(self):
         training = toy_training_set()
@@ -310,6 +353,47 @@ class TestTrain:
         m2, l2 = train(training, vocab, config)
         assert l1 == l2
         assert m1.embeddings.tobytes() == m2.embeddings.tobytes()
+
+    @pytest.mark.parametrize(
+        "window,alpha,categories", list(itertools.product((1, 3, 5), (0.0, 0.5, 1.0), (2, 6, 8)))
+    )
+    def test_matches_reference_loop_bitwise(self, window, alpha, categories):
+        """With 8 categories up to 7 opinion hinges fire at once; from 6 on,
+        subtracting ``unit`` one hinge at a time differs from ``count * unit``."""
+        training = oracle_training_set(categories)
+        vocab = build_vocab((t for t, _ in training.examples), min_count=2)
+        config = OoweConfig(
+            window=window, embed_dim=4, hidden_dim=3, learning_rate=0.5, alpha=alpha,
+            categories=categories, epochs=3, seed=window + categories,
+        )
+        got, got_losses = train(training, vocab, config)
+        want, want_losses = reference_train(training, vocab, config)
+        for name in ("embeddings", "w1", "b1", "w2", "b2"):
+            for field in (name, "g_" + name):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
+
+    def test_category_out_of_range_fails_before_any_update(self, monkeypatch):
+        visits = []
+        monkeypatch.setattr(relop.oowe, "corrupt", lambda *args: visits.append(args))
+        training = toy_training_set(n=6)
+        training.examples.append((["red", "blue"], 3))
+        vocab = build_vocab((t for t, _ in training.examples), min_count=1)
+        with pytest.raises(ValueError, match=r"category must be in 1\.\.2"):
+            train(training, vocab, OoweConfig(categories=2, epochs=1))
+        assert visits == []
+
+    def test_single_category_needs_alpha_zero(self, monkeypatch):
+        training = TrainingSet(examples=[(["a", "b", "c"], 1)] * 3, categories=("only",),
+                               category_counts={})
+        vocab = build_vocab((t for t, _ in training.examples), min_count=1)
+        model, _ = train(training, vocab, OoweConfig(categories=1, alpha=0.0, epochs=1))
+        assert model.n_categories == 1
+        visits = []
+        monkeypatch.setattr(relop.oowe, "corrupt", lambda *args: visits.append(args))
+        with pytest.raises(ValueError, match="single category"):
+            train(training, vocab, OoweConfig(categories=1, alpha=0.5, epochs=1))
+        assert visits == []
 
     def test_single_example_margin_saturates(self):
         """With alpha=1 the opinion margin grows until the hinge goes quiet."""

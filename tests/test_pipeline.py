@@ -380,6 +380,21 @@ class TestManifests:
             run_stage("plot", config)
         assert [name for name in figures if Path(tmp_path, name).exists()] == []
 
+    def test_plot_removes_figures_it_does_not_draw(self, tmp_path):
+        """Without sweep or quality tables ``plot`` draws only the scatter; older
+        curves are removed and the manifest credits only the scatter to it."""
+        config = small_config(tmp_path)
+        for name in ("error_curves.svg", "pne_curve.svg"):
+            Path(tmp_path, name).write_text("<svg/>")
+        Path(tmp_path, "points.tsv").write_text(
+            "".join(f"state\tS{i}\t1\t{i}.0 {i % 3}.5\n" for i in range(6))
+        )
+        run_stage("plot", config)
+        assert not Path(tmp_path, "error_curves.svg").exists()
+        assert not Path(tmp_path, "pne_curve.svg").exists()
+        outputs = _manifest(tmp_path)[-1]["outputs"]
+        assert [Path(path).name for path in outputs] == ["scatter_states.svg"]
+
     def test_predict_counts_unreached_rows(self, tmp_path):
         """Labels in only one of two far clusters reach none of the other's
         points: their score rows stay all zero and are counted."""
