@@ -12,13 +12,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from relop.lnp import sensitivity_sweep, sweep_medians
-from relop.manifold import (
-    geodesic_distances,
-    pairwise_euclidean,
-    select_k,
-    smacof_mds,
-)
+from relop.lnp import select_k, sensitivity_sweep, sweep_medians
+from relop.manifold import geodesic_distances, pairwise_euclidean
 from relop.plots import plot_error_curves
 from relop.synth import gen_manifold
 
@@ -50,22 +45,6 @@ for metric in ("euclidean", "geodesic"):
     tail = [medians[(metric, 8, k)][0] for k in range(13, 26)]
     print(f"  {metric:10s} median errors for k in [13,25]: {tail}")
 
-d_geo = geodesic_distances(moons.points)
-d_orig = pairwise_euclidean(moons.points)
-cache = {}
-
-
-def d_embed_fn(rng, k, run):
-    # one unfolding per run; each k is judged by the embedding its own
-    # weight matrix induces
-    from relop.lnp import lle_embedding, reconstruction_weights
-
-    if cache.get("run") != run:
-        coords, _ = smacof_mds(d_geo, moons.points.shape[1], rng)
-        cache.update(run=run, coords=coords)
-    wm = reconstruction_weights(cache["coords"], k, nonnegative=True)
-    return pairwise_euclidean(lle_embedding(wm, 2))
-
-
-k_star, table = select_k(d_orig, d_embed_fn, range(2, 26), runs=15, seed=4)
+# each k is judged by the embedding its own weights induce
+k_star, _ = select_k(moons.points, range(2, 26), runs=15, seed=4)
 print(f"\nPNE-selected neighborhood size: k* = {k_star}")

@@ -49,6 +49,7 @@ from .lnp import (
     predict,
     propagate,
     reconstruction_weights,
+    select_k,
     sensitivity_sweep,
     unfold,
 )
@@ -58,7 +59,6 @@ from .manifold import (
     neighborhood_preservation,
     pairwise_euclidean,
     pne,
-    select_k,
     smacof_mds,
     stress_measure,
 )

@@ -8,6 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import manifold as mf
 from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_mds
 
 # structurally rank-deficient local Gram systems (k above the ambient
@@ -45,6 +46,13 @@ class WeightMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
+
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The (len(rows), n) dense form of ``rows`` (every row by default)."""
+        rows = np.arange(self.n_points) if rows is None else rows
+        out = np.zeros((rows.size, self.n_points))
+        np.add.at(out, (np.arange(rows.size)[:, None], self.indices[rows]), self.weights[rows])
+        return out
 
 
 def _stacked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,12 +271,7 @@ def propagate(
     if rows.size == 0:
         return labels
     # dense rows of the reached block: L_R = W_RR L_R + W_Rl L_l
-    dense = np.zeros((rows.size, n))
-    np.add.at(
-        dense,
-        (np.repeat(np.arange(rows.size), weight_matrix.k), weight_matrix.indices[rows].ravel()),
-        weight_matrix.weights[rows].ravel(),
-    )
+    dense = weight_matrix.dense(rows)
     w_rr = dense[:, rows]
     bias = dense @ labels  # unlabeled rows of ``labels`` are still zero
     # nonnegative rows summing to at most one, each with a path of positive
@@ -291,19 +294,18 @@ def propagate(
 def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
     """The low-dimensional configuration a weight matrix reconstructs best.
 
-    Bottom eigenvectors of (I-W)'(I-W) with the constant mode dropped,
-    scaled by sqrt(n); this is how the reconstruction quality of W at a
-    given neighborhood size is judged (one embedding per k)."""
+    Bottom eigenvectors of (I-W)'(I-W), scaled by sqrt(n), above its null
+    space (eigenvalues up to 1e-10 of the largest, or of 1): the constant
+    mode, plus one vector per further closed class of the weight graph."""
     n = weight_matrix.n_points
     if not (0 < dim < n):
         raise ValueError("require 0 < dim < n")
-    dense = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), weight_matrix.k)
-    np.add.at(dense, (rows, weight_matrix.indices.ravel()), weight_matrix.weights.ravel())
-    m = np.eye(n) - dense
-    m = m.T @ m
-    _, vectors = np.linalg.eigh(m)
-    return vectors[:, 1 : dim + 1] * np.sqrt(n)
+    m = np.eye(n) - weight_matrix.dense()
+    values, vectors = np.linalg.eigh(m.T @ m)
+    null = int(np.count_nonzero(values <= 1e-10 * max(values[-1], 1.0)))
+    if n - null < dim:
+        raise ValueError(f"only {n - null} eigenvectors above the null space; need {dim}")
+    return vectors[:, null : null + dim] * np.sqrt(n)
 
 
 @dataclass
@@ -354,6 +356,14 @@ class SweepRow:
     diverged: bool = False
 
 
+def _usable_ks(k_range: Iterable[int], n: int) -> list[int]:
+    """The distinct neighborhood sizes 0 < k < n of ``k_range``, ascending."""
+    ks = [k for k in sorted(set(int(k) for k in k_range)) if 0 < k < n]
+    if not ks:
+        raise ValueError("k_range has no usable values")
+    return ks
+
+
 def _draw_balanced_labels(
     truth: np.ndarray,
     label_count: int,
@@ -396,9 +406,7 @@ def sensitivity_sweep(
     truth = np.asarray(truth, dtype=np.int64)
     n = points.shape[0]
     n_classes = int(truth.max()) + 1
-    ks = [k for k in sorted(set(int(k) for k in k_range)) if 0 < k < n]
-    if not ks:
-        raise ValueError("k_range has no usable values")
+    ks = _usable_ks(k_range, n)
     rows: list[SweepRow] = []
     euclid_weights = {
         k: reconstruction_weights(points, k, nonnegative=nonnegative) for k in ks
@@ -434,6 +442,44 @@ def sensitivity_sweep(
                     unreached = int((~scores.any(axis=1)).sum())
                     rows.append(SweepRow(metric, label_count, k, run, errors, unreached))
     return rows
+
+
+def select_k(
+    points: np.ndarray,
+    k_range: Iterable[int],
+    runs: int = 50,
+    seed: int = 0,
+    nonnegative: bool = True,
+    smacof_iters: int = 500,
+    smacof_tol: float = 1e-9,
+) -> tuple[int, list[dict]]:
+    """The k of least median PNE over seeded runs (smallest k on ties), and
+    the per-run table of ``np``, ``st`` and ``pne`` rows.
+
+    Each run unfolds the cloud once, as the sweep does; each k is judged by
+    the 2-D LLE embedding of its own weights on the unfolded points."""
+    points = np.asarray(points, dtype=float)
+    ks = _usable_ks(k_range, points.shape[0])
+    d_orig = pairwise_euclidean(points)
+    geo = geodesic_distances(points)
+    rows: list[dict] = []
+    for run, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        rng = np.random.default_rng(child)
+        unfolded, _ = smacof_mds(geo, points.shape[1], rng, iters=smacof_iters, tol=smacof_tol)
+        for k in ks:
+            wm = reconstruction_weights(unfolded, k, nonnegative=nonnegative)
+            d_embed = pairwise_euclidean(lle_embedding(wm, 2))
+            rows.append(
+                {
+                    "k": k,
+                    "run": run,
+                    "np": mf.neighborhood_preservation(d_orig, d_embed, k),
+                    "st": mf.stress_measure(d_orig, d_embed),
+                    "pne": mf.pne(d_orig, d_embed, k),
+                }
+            )
+    medians = [np.median([r["pne"] for r in rows if r["k"] == k]) for k in ks]
+    return ks[int(np.argmin(medians))], rows
 
 
 def median_band(values) -> tuple[float, float, float]:

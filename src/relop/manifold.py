@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -95,8 +95,8 @@ def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-def _raw_stress(dist: np.ndarray, coords: np.ndarray) -> float:
-    delta = dist - cdist(coords, coords)
+def _raw_stress(dist: np.ndarray, d_coords: np.ndarray) -> float:
+    delta = dist - d_coords
     return float(np.sum(np.triu(delta, 1) ** 2))
 
 
@@ -113,6 +113,8 @@ def smacof_mds(
     Returns (coords, stress_history). Majorization guarantees the raw stress
     never increases; an update that fails to improve at numerical precision
     is rejected and iteration stops, so the recorded history is monotone.
+    Each configuration's distances are computed once: the accepted update's
+    matrix serves the next iteration.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
@@ -121,19 +123,20 @@ def smacof_mds(
     else:
         scale = float(dist.max()) or 1.0
         coords = rng.standard_normal((n, dim)) * (scale / 4.0)
-    history = [_raw_stress(dist, coords)]
+    d_now = cdist(coords, coords)
+    history = [_raw_stress(dist, d_now)]
     for _ in range(iters):
-        d_now = cdist(coords, coords)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d_now > 0.0, dist / d_now, 0.0)
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         new_coords = (b @ coords) / n
-        stress = _raw_stress(dist, new_coords)
+        d_new = cdist(new_coords, new_coords)
+        stress = _raw_stress(dist, d_new)
         if stress > history[-1]:
             break  # at the numerical floor; keep the better configuration
-        coords = new_coords
+        coords, d_now = new_coords, d_new
         improvement = history[-1] - stress
         history.append(stress)
         if improvement < tol * max(history[-2], 1e-300):
@@ -189,44 +192,3 @@ def pne(d_orig: np.ndarray, d_embed: np.ndarray, k: int) -> float:
         total += sq[i, orig[i]].sum() / k
         total += sq[i, embed[i]].sum() / k
     return total / (2.0 * n)
-
-
-def select_k(
-    d_orig: np.ndarray,
-    d_embed_fn: Callable[[np.random.Generator, int, int], np.ndarray],
-    k_range: Iterable[int],
-    runs: int = 50,
-    seed: int = 0,
-) -> tuple[int, list[dict]]:
-    """Pick the k minimizing the median PNE across seeded runs.
-
-    ``d_orig`` holds the original-space distances;
-    ``d_embed_fn(rng, k, run)`` supplies the embedding-space distances for a
-    given neighborhood size within a seeded run (the embedding may depend on
-    k, and the per-run rng carries the stochastic part, e.g. an MDS start).
-    Returns the argmin (smallest k on ties) plus the full per-run table,
-    whose rows also carry neighborhood preservation ``np`` and stress ``st``.
-    """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValueError("k_range is empty")
-    children = np.random.SeedSequence(seed).spawn(runs)
-    rows: list[dict] = []
-    per_k: dict[int, list[float]] = {k: [] for k in ks}
-    for run, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        for k in ks:
-            d_embed = d_embed_fn(rng, k, run)
-            value = pne(d_orig, d_embed, k)
-            per_k[k].append(value)
-            rows.append(
-                {
-                    "k": k,
-                    "run": run,
-                    "np": neighborhood_preservation(d_orig, d_embed, k),
-                    "st": stress_measure(d_orig, d_embed),
-                    "pne": value,
-                }
-            )
-    medians = np.array([np.median(per_k[k]) for k in ks])
-    return ks[int(np.argmin(medians))], rows

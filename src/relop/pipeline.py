@@ -396,6 +396,14 @@ def stage_predict(config: PipelineConfig) -> dict:
     }
 
 
+def _usable_ks(config: PipelineConfig, n: int) -> list[int]:
+    """The configured k_min..k_max range below the point count."""
+    ks = [k for k in range(config.k_min, config.k_max + 1) if 0 < k < n]
+    if not ks:
+        raise DataError("no usable k in the configured range")
+    return ks
+
+
 def stage_sweep(config: PipelineConfig) -> dict:
     ids, coords = _load_problem_points(config)
     raw = _read_entity_csv(input_path(config, "state_truth.csv"))
@@ -404,9 +412,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
         raise DataError(f"truth file lacks entities: {missing}")
     index_of = {name: i for i, name in enumerate(_class_mapping(raw))}
     truth = np.array([index_of[raw[e]] for e in ids], dtype=np.int64)
-    ks = [k for k in range(config.k_min, config.k_max + 1) if k < len(ids)]
-    if not ks:
-        raise DataError("no usable k in the configured range")
+    ks = _usable_ks(config, len(ids))
     rows = lnp.sensitivity_sweep(
         coords,
         truth,
@@ -434,35 +440,17 @@ def stage_sweep(config: PipelineConfig) -> dict:
 
 def stage_metrics(config: PipelineConfig) -> dict:
     ids, coords = _load_problem_points(config)
-    n = len(ids)
-    dim = 2  # quality judged in the visualization plane
-    if n < 4:
+    if len(ids) < 4:
         raise DataError("need at least 4 state points for the quality sweep")
-    ks = [k for k in range(config.k_min, config.k_max + 1) if k < n]
-    if not ks:
-        raise DataError("no usable k in the configured range")
-    d_geo = mf.geodesic_distances(coords)
-    cache = {}
-
-    def d_embed_fn(rng, k, run):
-        # one SMACOF unfolding per run; each k is judged by the embedding its
-        # own weight matrix induces
-        if cache.get("run") != run:
-            unfolded, _ = mf.smacof_mds(
-                d_geo, coords.shape[1], rng, iters=config.smacof_iters, tol=config.smacof_tol
-            )
-            cache.update(run=run, unfolded=unfolded)
-        wm = lnp.reconstruction_weights(
-            cache["unfolded"], k, nonnegative=config.nonnegative_weights
-        )
-        return mf.pairwise_euclidean(lnp.lle_embedding(wm, dim))
-
-    k_star, table = mf.select_k(
-        mf.pairwise_euclidean(coords),
-        d_embed_fn,
+    ks = _usable_ks(config, len(ids))
+    k_star, table = lnp.select_k(
+        coords,
         ks,
         runs=config.runs,
         seed=stage_seed(config, "metrics"),
+        nonnegative=config.nonnegative_weights,
+        smacof_iters=config.smacof_iters,
+        smacof_tol=config.smacof_tol,
     )
     _write_csv(
         _work(config, "quality_runs.csv"),

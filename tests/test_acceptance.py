@@ -26,9 +26,9 @@ from relop.hashtags import (
 from relop.ingest import build_vocab, content_tokens, tokenize
 from relop.lnp import (
     WeightMatrix,
-    lle_embedding,
     propagate,
     reconstruction_weights,
+    select_k,
     sensitivity_sweep,
     sweep_medians,
     evaluate_fixture,
@@ -37,7 +37,6 @@ from relop.manifold import (
     classical_mds,
     geodesic_distances,
     pairwise_euclidean,
-    select_k,
     smacof_mds,
 )
 from relop.oowe import OoweConfig, OoweModel, corrupt, forward, gradients, init_model, train
@@ -416,18 +415,7 @@ def test_11_pne_selection(moons, sweep_rows):
     """The PNE-selected k lies in the k-range whose pooled geodesic median
     prediction error is within 2 of the global minimum; each k is judged by
     the embedding its own weight matrix induces."""
-    d_orig = pairwise_euclidean(moons.points)
-    d_geo = geodesic_distances(moons.points)
-    cache = {}
-
-    def d_embed_fn(rng, k, run):
-        if cache.get("run") != run:
-            coords, _ = smacof_mds(d_geo, moons.points.shape[1], rng)
-            cache.update(run=run, coords=coords)
-        wm = reconstruction_weights(cache["coords"], k, nonnegative=True)
-        return pairwise_euclidean(lle_embedding(wm, 2))
-
-    k_star, _ = select_k(d_orig, d_embed_fn, K_RANGE, runs=50, seed=PROTOCOL_SEED)
+    k_star, _ = select_k(moons.points, K_RANGE, runs=50, seed=PROTOCOL_SEED)
 
     pooled: dict[int, list[int]] = {}
     for row in sweep_rows:

@@ -7,6 +7,7 @@ from relop.lnp import (
     LnpProblem,
     WeightMatrix,
     evaluate_fixture,
+    lle_embedding,
     predict,
     propagate,
     reconstruction_weights,
@@ -174,6 +175,46 @@ def chain_weights(n):
     for i in range(1, n - 1):
         indices[i] = [i - 1, i + 1]
     return WeightMatrix(indices, weights)
+
+
+class TestLleEmbedding:
+    @staticmethod
+    def two_clusters():
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((24, 3))
+        pts[12:, 0] += 50.0
+        indicators = np.zeros((24, 2))
+        indicators[:12, 0] = indicators[12:, 1] = 1.0
+        return pts, indicators
+
+    def test_dense_matches_entry_loop(self):
+        wm = reconstruction_weights(self.two_clusters()[0], 5)
+        expected = np.zeros((24, 24))
+        for i in range(24):
+            for j, w in zip(wm.indices[i], wm.weights[i]):
+                expected[i, j] += w
+        np.testing.assert_array_equal(wm.dense(), expected)
+        rows = np.array([20, 3, 7])
+        np.testing.assert_array_equal(wm.dense(rows), expected[rows])
+
+    def test_skips_every_closed_class(self):
+        # two far clusters: the weight graph has (at least) two closed
+        # classes, so (I-W)'(I-W) has a null space holding both indicators
+        pts, indicators = self.two_clusters()
+        wm = reconstruction_weights(pts, 4, nonnegative=True)
+        emb = lle_embedding(wm, 2)
+        assert emb.shape == (24, 2)
+        np.testing.assert_allclose(emb.T @ indicators, 0.0, atol=1e-8)
+        np.testing.assert_allclose(emb.T @ emb, 24.0 * np.eye(2), atol=1e-8)
+
+    def test_too_few_vectors_above_the_null_space(self):
+        # two far pairs with k = 1: a two-dimensional null space leaves two
+        # eigenvectors, fewer than three
+        pts = np.array([[0.0], [1.0], [50.0], [51.0]])
+        wm = reconstruction_weights(pts, 1, nonnegative=True)
+        assert lle_embedding(wm, 2).shape == (4, 2)
+        with pytest.raises(ValueError, match="null space"):
+            lle_embedding(wm, 3)
 
 
 class TestPropagate:

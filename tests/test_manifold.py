@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import spearmanr
 
+from relop import manifold
+from relop.lnp import lle_embedding, reconstruction_weights, select_k
 from relop.manifold import (
     classical_mds,
     geodesic_distances,
@@ -10,7 +13,6 @@ from relop.manifold import (
     neighborhood_preservation,
     pairwise_euclidean,
     pne,
-    select_k,
     smacof_mds,
     stress_measure,
 )
@@ -212,6 +214,60 @@ class TestSmacof:
         coords, _ = smacof_mds(d, 2, np.random.default_rng(1), iters=2000, tol=1e-14)
         assert procrustes_residual(coords, classical) < 1e-6
 
+    @staticmethod
+    def reference_loop(dist, dim, rng, iters, tol):
+        """Stress majorization written plainly: every configuration's
+        distances are computed twice, once for its stress and once for the
+        next update."""
+
+        def raw_stress(coords):
+            delta = dist - cdist(coords, coords)
+            return float(np.sum(np.triu(delta, 1) ** 2))
+
+        n = dist.shape[0]
+        coords = rng.standard_normal((n, dim)) * ((float(dist.max()) or 1.0) / 4.0)
+        history = [raw_stress(coords)]
+        for _ in range(iters):
+            d_now = cdist(coords, coords)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(d_now > 0.0, dist / d_now, 0.0)
+            b = -ratio
+            np.fill_diagonal(b, 0.0)
+            np.fill_diagonal(b, -b.sum(axis=1))
+            new_coords = (b @ coords) / n
+            stress = raw_stress(new_coords)
+            if stress > history[-1]:
+                break
+            coords = new_coords
+            improvement = history[-1] - stress
+            history.append(stress)
+            if improvement < tol * max(history[-2], 1e-300):
+                break
+        return coords, np.array(history)
+
+    @pytest.mark.parametrize(
+        "n, dim, seed, iters, tol",
+        [(15, 3, 0, 500, 1e-9), (20, 2, 1, 40, 1e-9), (12, 3, 2, 500, 1e-4)],
+    )
+    def test_one_distance_matrix_per_configuration(self, monkeypatch, n, dim, seed, iters, tol):
+        pts = np.random.default_rng(seed).standard_normal((n, 3))
+        dist = geodesic_distances(pts)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(manifold, "cdist", counted)
+        coords, history = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
+        monkeypatch.undo()
+        assert len(calls) == len(history)
+        ref_coords, ref_history = self.reference_loop(
+            dist, dim, np.random.default_rng(seed), iters, tol
+        )
+        np.testing.assert_array_equal(coords, ref_coords)
+        np.testing.assert_array_equal(history, ref_history)
+
 
 class TestQualityMeasures:
     def test_np_identical_spaces(self):
@@ -298,55 +354,53 @@ class TestQualityMeasures:
 
 
 class TestSelectK:
-    def test_constant_pne_picks_smallest(self):
-        d = pairwise_euclidean(np.random.default_rng(6).standard_normal((12, 3)))
+    """``lnp.select_k``: one SMACOF unfolding per seeded run, and each k
+    judged by the LLE embedding of its own weights on the unfolded cloud."""
 
+    @staticmethod
+    def cloud(seed=7, n=15):
+        return np.random.default_rng(seed).standard_normal((n, 3))
+
+    def test_constant_pne_picks_smallest(self, monkeypatch):
         # PNE identically zero for every k -> tie broken by smallest k
-        k_star, rows = select_k(d, lambda rng, k, run: d, range(2, 8), runs=3, seed=0)
-        assert k_star == 2
-        assert len(rows) == 6 * 3
+        monkeypatch.setattr(manifold, "pne", lambda d_orig, d_embed, k: 0.0)
+        k_star, rows = select_k(self.cloud(6, 12), range(3, 8), runs=2, seed=0)
+        assert k_star == 3
+        assert len(rows) == 5 * 2
 
     def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(7)
-        pts = rng.standard_normal((20, 3))
-        noisy = pts + 0.3 * rng.standard_normal(pts.shape)
-        d_o = pairwise_euclidean(pts)
-        d_e = pairwise_euclidean(noisy)
-
-        k_star, rows = select_k(d_o, lambda rng, k, run: d_e, range(2, 10), runs=1, seed=1)
+        k_star, rows = select_k(self.cloud(), range(2, 9), runs=3, seed=1)
         per_k = {}
         for row in rows:
             per_k.setdefault(row["k"], []).append(row["pne"])
+        assert sorted(per_k) == list(range(2, 9))
+        assert all(len(v) == 3 for v in per_k.values())
         medians = {k: np.median(v) for k, v in per_k.items()}
         assert k_star == min(medians, key=lambda k: (medians[k], k))
 
     def test_rows_carry_np_and_st(self):
-        rng = np.random.default_rng(10)
-        pts = rng.standard_normal((15, 3))
+        pts = self.cloud(10)
+        runs, seed, run = 3, 4, 1
+        _, rows = select_k(pts, range(2, 6), runs=runs, seed=seed)
+        # the run's own spawned seed: SMACOF, then weights, then LLE
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(runs)[run])
+        unfolded, _ = smacof_mds(geodesic_distances(pts), 3, rng)
         d_o = pairwise_euclidean(pts)
-        d_e = pairwise_euclidean(pts + 0.2 * rng.standard_normal(pts.shape))
-        _, rows = select_k(d_o, lambda rng, k, run: d_e, range(2, 5), runs=2, seed=4)
+        checked = 0
         for row in rows:
-            assert row["np"] == neighborhood_preservation(d_o, d_e, row["k"])
+            if row["run"] != run:
+                continue
+            k = row["k"]
+            wm = reconstruction_weights(unfolded, k, nonnegative=True)
+            d_e = pairwise_euclidean(lle_embedding(wm, 2))
+            assert row["np"] == neighborhood_preservation(d_o, d_e, k)
             assert row["st"] == stress_measure(d_o, d_e)
-            assert row["pne"] == pne(d_o, d_e, row["k"])
-
-    def test_embedding_may_depend_on_k(self):
-        # a synthetic quality profile with its best embedding at k=5
-        d = pairwise_euclidean(np.random.default_rng(9).standard_normal((15, 3)))
-
-        def d_embed(rng, k, run):
-            return d * (1.0 + 0.1 * abs(k - 5))
-
-        k_star, _ = select_k(d, d_embed, range(2, 9), runs=2, seed=2)
-        assert k_star == 5
+            assert row["pne"] == pne(d_o, d_e, k)
+            checked += 1
+        assert checked == 4
 
     def test_deterministic(self):
-        d = pairwise_euclidean(np.random.default_rng(8).standard_normal((10, 2)))
-
-        def d_embed(rng, k, run):
-            return d * rng.uniform(0.9, 1.1)
-
-        first = select_k(d, d_embed, range(2, 6), runs=5, seed=3)
-        second = select_k(d, d_embed, range(2, 6), runs=5, seed=3)
+        pts = self.cloud(8, 10)
+        first = select_k(pts, range(2, 6), runs=4, seed=3)
+        second = select_k(pts, range(2, 6), runs=4, seed=3)
         assert first == second
