@@ -26,7 +26,7 @@ OUT.mkdir(exist_ok=True)
 
 config = SynthCorpusConfig(tweets_per_class=500, mixed_rate=0.02, seed=11)
 corpus = gen_opinion_corpus(config)
-tweets = [[t.surface for t in content_tokens(tokenize(p.text))] for p in corpus.posts]
+tweets = [content_tokens(tokenize(p.text)) for p in corpus.posts]
 print(f"corpus: {len(tweets)} tweets, planted sides with seeds {config.seed_hashtags}")
 
 graph = build_cooccurrence(tweets)

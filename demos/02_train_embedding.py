@@ -21,7 +21,7 @@ OUT.mkdir(exist_ok=True)
 
 config = SynthCorpusConfig(classes=2, tweets_per_class=1500, seed=5)
 corpus = gen_opinion_corpus(config)
-tweets = [[t.surface for t in content_tokens(tokenize(p.text))] for p in corpus.posts]
+tweets = [content_tokens(tokenize(p.text)) for p in corpus.posts]
 examples = [(tokens, c + 1) for tokens, c in zip(tweets, corpus.tweet_classes)]
 training = TrainingSet(
     examples=examples,

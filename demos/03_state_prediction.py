@@ -28,8 +28,9 @@ gazetteer = Gazetteer.from_csv(data_path("gazetteer.csv"))
 
 tweets = []
 for post, side in zip(corpus.posts, corpus.tweet_classes):
-    tokens = [t.surface for t in content_tokens(tokenize(post.text))]
-    tweets.append((post.id, post.user_id, infer_state(post, gazetteer), tokens, side))
+    tokens = tokenize(post.text)
+    state = infer_state(post, gazetteer, tokens)
+    tweets.append((post.id, post.user_id, state, content_tokens(tokens), side))
 
 examples = [(tokens, side + 1) for _, _, _, tokens, side in tweets]
 training = TrainingSet(

@@ -102,9 +102,9 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def content_tokens(tokens: Iterable[Token]) -> list[Token]:
-    """Drop mention and url tokens, keeping words and hashtags."""
-    return [t for t in tokens if t.kind in ("word", "hashtag")]
+def content_tokens(tokens: Iterable[Token]) -> list[str]:
+    """Surface strings of the word and hashtag tokens, dropping mentions and urls."""
+    return [t.surface for t in tokens if t.kind in ("word", "hashtag")]
 
 
 def _matches_keyword(token: Token, keyword: str) -> bool:
@@ -116,36 +116,20 @@ def _matches_keyword(token: Token, keyword: str) -> bool:
     return False
 
 
-def filter_relevant(
-    posts: Iterable[Post],
-    group_a_keywords: list[str],
-    group_b_keywords: list[str],
-) -> list[Post]:
-    """Keep posts mentioning at least one keyword from each group.
+def filter_relevant(tokens: list[Token], group_a: list[str], group_b: list[str]) -> bool:
+    """Whether a post's tokens mention at least one keyword from each group.
 
     Matching is at token boundaries: a word token must equal the keyword,
     while hashtag/mention tokens match on containment.
     """
-    if not group_a_keywords or not group_b_keywords:
-        raise ValueError("keyword groups must be nonempty")
-    kept = []
-    for post in posts:
-        tokens = tokenize(post.text)
-        hit_a = any(_matches_keyword(t, kw) for t in tokens for kw in group_a_keywords)
-        hit_b = any(_matches_keyword(t, kw) for t in tokens for kw in group_b_keywords)
-        if hit_a and hit_b:
-            kept.append(post)
-    return kept
+    return any(_matches_keyword(t, kw) for t in tokens for kw in group_a) and any(
+        _matches_keyword(t, kw) for t in tokens for kw in group_b
+    )
 
 
-def filter_bots(posts: Iterable[Post], official_clients: set[str]) -> tuple[list[Post], float]:
-    """Keep posts sent from an official client; returns (posts, retained fraction)."""
-    if not official_clients:
-        raise ValueError("official_clients must be nonempty")
-    posts = list(posts)
-    kept = [p for p in posts if p.client in official_clients]
-    fraction = len(kept) / len(posts) if posts else 0.0
-    return kept, fraction
+def filter_bots(post: Post, official_clients: set[str]) -> bool:
+    """Whether the post was sent from an official client (bots use others)."""
+    return post.client in official_clients
 
 
 class Gazetteer:
@@ -208,8 +192,9 @@ def _resolve_field(field: str, gazetteer: Gazetteer) -> Optional[str]:
     return _scan_words(_normalize_place(field).split(), gazetteer, min_len=1)
 
 
-def infer_state(post: Post, gazetteer: Gazetteer) -> Optional[str]:
-    """Infer a region code from the post, trying geo tag, then profile, then text."""
+def infer_state(post: Post, gazetteer: Gazetteer, tokens: list[Token]) -> Optional[str]:
+    """Infer a region code from the post, trying geo tag, then profile, then
+    the word tokens of its text (``tokens``, as ``tokenize(post.text)`` makes them)."""
     if post.geo_field:
         code = _resolve_field(post.geo_field, gazetteer)
         if code is not None:
@@ -218,7 +203,7 @@ def infer_state(post: Post, gazetteer: Gazetteer) -> Optional[str]:
         code = _resolve_field(post.profile_location, gazetteer)
         if code is not None:
             return code
-    words = [t.surface for t in tokenize(post.text) if t.kind == "word"]
+    words = [t.surface for t in tokens if t.kind == "word"]
     return _scan_words(words, gazetteer)
 
 

@@ -151,7 +151,7 @@ def _class_mapping(*label_maps: dict[str, str]) -> list[str]:
 
 
 def stage_synth(config: PipelineConfig) -> dict:
-    seed_names = ("#maga", "#imwithher", "#nevertrump", "#neverhillary")
+    seed_names = tuple(ht.DEFAULT_SEEDS)
     classes = config.synth_classes
     hashtag_seeds = tuple(
         seed_names[c] if c < len(seed_names) else f"#seed{c}" for c in range(classes)
@@ -200,41 +200,42 @@ def stage_synth(config: PipelineConfig) -> dict:
 
 
 def stage_ingest(config: PipelineConfig) -> dict:
+    group_a, group_b = parse_str_list(config.keywords_a), parse_str_list(config.keywords_b)
+    if not group_a or not group_b:
+        raise UsageError("keywords_a and keywords_b must each name at least one keyword")
+    clients_path = input_path(config, "official_clients.txt")
+    lines = clients_path.read_text(encoding="utf-8").splitlines()
+    clients = {line.strip() for line in lines if line.strip()}
+    if not clients:
+        raise DataError(f"{clients_path} lists no official client")
+    gazetteer = Gazetteer.from_csv(input_path(config, "gazetteer.csv"))
     with open(input_path(config, "corpus.jsonl"), encoding="utf-8") as fh:
         posts, skipped = parse_posts(fh)
-    relevant = filter_relevant(
-        posts, parse_str_list(config.keywords_a), parse_str_list(config.keywords_b)
-    )
-    clients = input_path(config, "official_clients.txt").read_text(encoding="utf-8")
-    official, fraction = filter_bots(
-        relevant, {line.strip() for line in clients.splitlines() if line.strip()}
-    )
-    gazetteer = Gazetteer.from_csv(input_path(config, "gazetteer.csv"))
-    n_state = 0
+    n_relevant = n_official = n_state = 0
     with open(_work(config, "clean.jsonl"), "w", encoding="utf-8") as fh:
-        for post in official:
-            state = infer_state(post, gazetteer)
-            if state is not None:
-                n_state += 1
-            tokens = [t.surface for t in content_tokens(tokenize(post.text))]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": post.id,
-                        "user_id": post.user_id,
-                        "state": state,
-                        "tokens": tokens,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for post in posts:
+            tokens = tokenize(post.text)
+            if not filter_relevant(tokens, group_a, group_b):
+                continue
+            n_relevant += 1
+            if not filter_bots(post, clients):
+                continue
+            n_official += 1
+            state = infer_state(post, gazetteer, tokens)
+            n_state += state is not None
+            record = {
+                "id": post.id,
+                "user_id": post.user_id,
+                "state": state,
+                "tokens": content_tokens(tokens),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     return {
         "parsed": len(posts),
         "skipped": skipped,
-        "relevant": len(relevant),
-        "official": len(official),
-        "official_fraction": round(fraction, 6),
+        "relevant": n_relevant,
+        "official": n_official,
+        "official_fraction": round(n_official / n_relevant if n_relevant else 0.0, 6),
         "with_state": n_state,
     }
 

@@ -21,6 +21,23 @@ def _color_for(name: str, palette: dict[str, str]) -> str:
     return palette[name]
 
 
+def _frame(width: int, height: int, margin: float, title: str) -> list[str]:
+    """Opening lines of a plot: SVG root, white background, plot border, title."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{_fmt(margin)}" y="{_fmt(margin)}" width="{_fmt(width - 2 * margin)}" '
+        f'height="{_fmt(height - 2 * margin)}" fill="none" stroke="#cccccc"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{_fmt(width / 2)}" y="28" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16">{title}</text>'
+        )
+    return parts
+
+
 def plot_scatter(
     points_2d: Sequence[Sequence[float]],
     annotations: Sequence[Mapping],
@@ -65,18 +82,7 @@ def plot_scatter(
         return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
     palette: dict[str, str] = {}
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_fmt(margin)}" y="{_fmt(margin)}" width="{_fmt(width - 2 * margin)}" '
-        f'height="{_fmt(height - 2 * margin)}" fill="none" stroke="#cccccc"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+    parts = _frame(width, height, margin, title)
     for point, ann in zip(points_2d, annotations):
         color = _color_for(str(ann.get("class", "")), palette)
         cx, cy = sx(float(point[0])), sy(float(point[1]))
@@ -131,18 +137,7 @@ def plot_error_curves(
         return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
     palette: dict[str, str] = {}
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_fmt(margin)}" y="{_fmt(margin)}" width="{_fmt(width - 2 * margin)}" '
-        f'height="{_fmt(height - 2 * margin)}" fill="none" stroke="#cccccc"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+    parts = _frame(width, height, margin, title)
     for tick in range(x_lo, x_hi + 1, max(1, (x_hi - x_lo) // 12 or 1)):
         parts.append(
             f'<text x="{_fmt(sx(tick))}" y="{_fmt(height - margin + 16)}" text-anchor="middle" '

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -269,14 +268,6 @@ def hypergeom_pmf(n_total: int, n_i: int, n_j: int, k: int) -> float:
         return 0.0
     num = math.comb(n_i, k) * math.comb(n_total - n_i, n_j - k)
     return num / math.comb(n_total, n_j)
-
-
-def hypergeom_pmf_exact(n_total: int, n_i: int, n_j: int, k: int) -> Fraction:
-    if k < 0 or k > n_i or k > n_j or n_j - k > n_total - n_i:
-        return Fraction(0)
-    return Fraction(
-        math.comb(n_i, k) * math.comb(n_total - n_i, n_j - k), math.comb(n_total, n_j)
-    )
 
 
 def finite_diff_grads(

@@ -115,7 +115,7 @@ def test_02_seed_hashtag_pipeline():
     config = SynthCorpusConfig(tweets_per_class=500, mixed_rate=0.01, seed=2)
     corpus = gen_opinion_corpus(config)
     assert len(corpus.posts) == 1000
-    tweets = [[t.surface for t in content_tokens(tokenize(p.text))] for p in corpus.posts]
+    tweets = [content_tokens(tokenize(p.text)) for p in corpus.posts]
     graph = significance_filter(build_cooccurrence(tweets), p_o=1e-6)
     seeds = {
         config.seed_hashtags[0]: OpinionLabel.PRO_TRUMP,
@@ -199,7 +199,7 @@ def test_04_embedding_separation():
     started = time.time()
     config = SynthCorpusConfig(classes=2, tweets_per_class=2500, tokens_per_tweet=10, seed=17)
     corpus = gen_opinion_corpus(config)
-    tweets = [[t.surface for t in content_tokens(tokenize(p.text))] for p in corpus.posts]
+    tweets = [content_tokens(tokenize(p.text)) for p in corpus.posts]
     examples = [(tokens, side + 1) for tokens, side in zip(tweets, corpus.tweet_classes)]
     training = TrainingSet(
         examples=examples,

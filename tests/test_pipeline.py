@@ -249,6 +249,47 @@ class TestCli:
         assert Path(tmp_path, "w", "corpus.jsonl").exists()
 
 
+class TestIngestStage:
+    def test_one_tokenize_call_per_parsed_post(self, tmp_path, monkeypatch):
+        from relop import ingest, pipeline
+
+        config = small_config(tmp_path)
+        run_stage("synth", config)
+        calls = []
+        for module in (pipeline, ingest):
+            real = module.tokenize
+
+            def counted(text, real=real):
+                calls.append(text)
+                return real(text)
+
+            monkeypatch.setattr(module, "tokenize", counted)
+        counts = run_stage("ingest", config)
+        assert counts["parsed"] > 0
+        assert len(calls) == counts["parsed"]
+
+    def test_official_fraction_is_official_over_relevant(self, tmp_path):
+        config = small_config(tmp_path)
+        run_stage("synth", config)
+        run_stage("ingest", config)
+        counts = _manifest(tmp_path)[-1]["counts"]
+        assert 0 < counts["official"] < counts["relevant"]
+        assert counts["official_fraction"] == round(counts["official"] / counts["relevant"], 6)
+
+    def test_empty_keyword_group_is_usage_error(self, tmp_path):
+        run_stage("synth", small_config(tmp_path))
+        assert main(["ingest", "--workdir", str(tmp_path), "--keywords_a", ""]) == 1
+        assert not Path(tmp_path, "clean.jsonl").exists()
+
+    def test_official_clients_file_without_a_client_is_data_error(self, tmp_path):
+        run_stage("synth", small_config(tmp_path))
+        clients = tmp_path / "clients.txt"
+        clients.write_text("\n  \n")
+        args = ["ingest", "--workdir", str(tmp_path), "--official_clients_file", str(clients)]
+        assert main(args) == 2
+        assert not Path(tmp_path, "clean.jsonl").exists()
+
+
 class TestVerifyStage:
     def test_corrupted_model_fails_loudly(self, tmp_path, capsys):
         config = small_config(tmp_path)
@@ -282,7 +323,7 @@ class TestArtifactTables:
         from relop.hashtags import OpinionLabel, write_label_map
         from relop.ingest import content_tokens, tokenize
 
-        tokens = [t.surface for t in content_tokens(tokenize("vote #maga,#trump2016 rally"))]
+        tokens = content_tokens(tokenize("vote #maga,#trump2016 rally"))
         assert tokens == ["vote", "#maga,#trump2016", "rally"]
         record = {"id": "1", "user_id": "u1", "state": None, "tokens": tokens}
         Path(tmp_path, "clean.jsonl").write_text(json.dumps(record) + "\n")
