@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +22,9 @@ FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
 MAX_PIVOT_ROUNDS = 200
 # a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
 DUAL_TOL = 1e-10
+# the seeded runs' weight systems are solved together in stacks of at most
+# this many rows: larger stacks save little time and cost peak memory
+GROUP_ROWS = 128
 
 
 @dataclass
@@ -29,12 +34,14 @@ class WeightMatrix:
     ``indices[i]`` lists point i's k neighbors and ``weights[i]`` their
     coefficients, which sum to one per row; entries may be negative.
     ``fallback_rows`` lists the rows whose local Gram system was singular
-    and needed a ``FALLBACK_RIDGES`` ridge.
+    and needed a ``FALLBACK_RIDGES`` ridge; ``unsettled_rows`` the rows of
+    a nonnegative solve still unsettled after ``MAX_PIVOT_ROUNDS`` rounds.
     """
 
     indices: np.ndarray  # (n, k) int
     weights: np.ndarray  # (n, k) float
     fallback_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    unsettled_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def n_points(self) -> int:
@@ -81,17 +88,17 @@ def _unusable(solutions: np.ndarray) -> np.ndarray:
     return ~np.isfinite(solutions).all(axis=1) | (np.abs(solutions.sum(axis=1)) <= 1e-12)
 
 
-def _free_solve(diffs: np.ndarray, ridge: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Solve G_FF s_F = 1 on each row's free set F, with s = 0 off it.
+def _free_solve(gram: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve G_FF s_F = 1 for each of ``rows``, on its free set F (``free``
+    holds the rows' sets), with s = 0 off it.
 
-    The free neighbors' differences are gathered at the size of the largest
-    free set; padding gets zero differences and a unit diagonal."""
+    The free blocks are gathered at the size of the largest free set, and
+    padding gets a unit diagonal and zeros elsewhere."""
     size = free.sum(axis=1)
     order = np.argsort(~free, axis=1, kind="stable")[:, : int(size.max())]
     pad = np.arange(order.shape[1]) >= size[:, None]
-    gathered = np.take_along_axis(diffs, order[:, :, None], axis=1)
-    gathered[pad] = 0.0
-    system = _gram(gathered, ridge)
+    system = gram[rows[:, None, None], order[:, :, None], order[:, None, :]]
+    system[pad[:, :, None] | pad[:, None, :]] = 0.0
     diag = np.arange(order.shape[1])
     system[:, diag, diag] += pad
     out = np.zeros(free.shape)
@@ -100,10 +107,11 @@ def _free_solve(diffs: np.ndarray, ridge: np.ndarray, free: np.ndarray) -> np.nd
 
 
 def _nonnegative_active_set(
-    diffs: np.ndarray, ridge: np.ndarray, unconstrained: np.ndarray
-) -> np.ndarray:
-    """Lawson-Hanson active set for min v'Gv/2 - 1'v subject to v >= 0,
-    with G = D D' + ridge I per row.
+    gram: np.ndarray, unconstrained: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lawson-Hanson active set for min v'Gv/2 - 1'v subject to v >= 0, for
+    each row's Gram matrix G; returns v and the rows still unsettled after
+    ``MAX_PIVOT_ROUNDS`` rounds.
 
     Its solution normalized to sum one minimizes w'Gw over the simplex (the
     KKT conditions agree, with multiplier 2/sum(v)). Rows whose unconstrained
@@ -121,9 +129,7 @@ def _nonnegative_active_set(
     for _ in range(MAX_PIVOT_ROUNDS):
         rows = np.flatnonzero(live & optimal)
         if rows.size:
-            d, x = diffs[rows], v[rows]
-            dual = 1.0 - np.einsum("rkd,rd->rk", d, np.einsum("rkd,rk->rd", d, x))
-            dual -= ridge[rows, None] * x
+            dual = 1.0 - np.einsum("rkj,rj->rk", gram[rows], v[rows])
             dual[free[rows]] = -np.inf
             enter = np.argmax(dual, axis=1)
             settled = dual[np.arange(rows.size), enter] <= DUAL_TOL
@@ -132,7 +138,7 @@ def _nonnegative_active_set(
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        s = _free_solve(diffs[rows], ridge[rows], free[rows])
+        s = _free_solve(gram, rows, free[rows])
         blocked = free[rows] & (s <= 0.0)
         infeasible = blocked.any(axis=1)
         v[rows[~infeasible]] = s[~infeasible]
@@ -155,36 +161,63 @@ def _nonnegative_active_set(
             f"nonnegative weight solve did not settle within {MAX_PIVOT_ROUNDS} "
             f"rounds for {int(live.sum())} rows"
         )
-    return v
+    return v, np.flatnonzero(live)
 
 
 def _local_weights(
     diffs: np.ndarray, structural: bool, nonnegative: bool
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights of every point's local Gram system at once, from the (n, k, d)
-    differences to its neighbors; returns (weights, fallback rows)."""
+    differences to its neighbors; returns (weights, fallback rows,
+    unsettled rows)."""
     n, k, _ = diffs.shape
     scale = np.einsum("nkd,nkd->n", diffs, diffs) / k  # trace(G) / k
     scale[scale <= 0.0] = 1.0
     ridge = STRUCTURAL_RIDGE * scale if structural else np.zeros(n)
+    gram = _gram(diffs, ridge)
     ones = np.ones((n, k))
-    solutions = _stacked_solve(_gram(diffs, ridge), ones)
+    solutions = _stacked_solve(gram, ones)
     fallback = np.flatnonzero(_unusable(solutions))
     pending = fallback
     for eps in FALLBACK_RIDGES:
         if pending.size == 0:
             break
-        trial = ridge[pending] + eps * scale[pending]
-        retried = _stacked_solve(_gram(diffs[pending], trial), ones[pending])
+        system = _gram(diffs[pending], ridge[pending] + eps * scale[pending])
+        retried = _stacked_solve(system, ones[pending])
         ok = ~_unusable(retried)
-        ridge[pending[ok]] = trial[ok]
+        gram[pending[ok]] = system[ok]
         solutions[pending[ok]] = retried[ok]
         pending = pending[~ok]
     if pending.size:
         raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+    unsettled = np.zeros(0, dtype=np.int64)
     if nonnegative:
-        solutions = _nonnegative_active_set(diffs, ridge, solutions)
-    return solutions / solutions.sum(axis=1, keepdims=True), fallback
+        solutions, unsettled = _nonnegative_active_set(gram, solutions)
+    return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled
+
+
+def _solve_group(
+    clouds: Sequence[np.ndarray], neighbors: Sequence[np.ndarray], nonnegative: bool
+) -> list[WeightMatrix]:
+    """The weight matrices of clouds of one shape, each with its (n, k)
+    neighbor array, from one stacked solve; every matrix lists its own
+    fallback and unsettled rows."""
+    n, dim = clouds[0].shape
+    k = neighbors[0].shape[1]
+    points = np.concatenate(clouds)
+    # each cloud's neighbor indices, shifted to its rows of ``points``
+    shift = np.repeat(np.arange(0, len(points), n), n)[:, None]
+    diffs = points[np.concatenate(neighbors) + shift]
+    np.subtract(points[:, None, :], diffs, out=diffs)
+    weights, fallback, unsettled = _local_weights(diffs, k > dim, nonnegative)
+
+    def own(rows: np.ndarray, lo: int) -> np.ndarray:
+        return rows[(rows >= lo) & (rows < lo + n)] - lo
+
+    return [
+        WeightMatrix(nb, weights[lo : lo + n], own(fallback, lo), own(unsettled, lo))
+        for lo, nb in zip(range(0, len(clouds) * n, n), neighbors)
+    ]
 
 
 def reconstruction_weights(
@@ -202,7 +235,7 @@ def reconstruction_weights(
     downstream propagation matrix sub-stochastic and therefore contractive.
     """
     points = np.asarray(points, dtype=float)
-    n, dim = points.shape
+    n = points.shape[0]
     if not (0 < k < n):
         raise ValueError("require 0 < k < n")
     if metric == "euclidean":
@@ -211,10 +244,30 @@ def reconstruction_weights(
         dist = geodesic_distances(points)
     else:
         raise ValueError(f"unknown metric: {metric}")
-    neighbors = knn_sets(dist, k)
-    diffs = points[:, None, :] - points[neighbors]
-    weights, fallback = _local_weights(diffs, k > dim, nonnegative)
-    return WeightMatrix(indices=neighbors, weights=weights, fallback_rows=fallback)
+    return _solve_group([points], [knn_sets(dist, k)], nonnegative)[0]
+
+
+def _weights_by_run(
+    clouds: np.ndarray, ks: Sequence[int], nonnegative: bool, tally: Counter
+) -> Iterator[dict[int, WeightMatrix]]:
+    """Each cloud's ``reconstruction_weights`` for every k in ``ks``, in
+    order. For each k the systems of several clouds are solved at once, in
+    groups of at most ``GROUP_ROWS`` rows (one cloud at least). ``tally``
+    gains the ``fallback_rows`` and ``unsettled_rows`` of every matrix."""
+    n = clouds.shape[1]
+    size = max(1, GROUP_ROWS // n)
+    for start in range(0, len(clouds), size):
+        group = clouds[start : start + size]
+        orders = [knn_sets(pairwise_euclidean(cloud), n - 1) for cloud in group]
+        solved = {
+            k: _solve_group(group, [order[:, :k] for order in orders], nonnegative) for k in ks
+        }
+        for matrices in solved.values():
+            for wm in matrices:
+                tally["fallback_rows"] += wm.fallback_rows.size
+                tally["unsettled_rows"] += wm.unsettled_rows.size
+        for run in range(len(group)):
+            yield {k: solved[k][run] for k in ks}
 
 
 def unfold(
@@ -393,6 +446,7 @@ def sensitivity_sweep(
     propagate_tol: float = 1e-9,
     smacof_iters: int = 500,
     smacof_tol: float = 1e-9,
+    tally: Counter | None = None,
 ) -> list[SweepRow]:
     """Prediction-error table over metric x label budget x k x seeded run.
 
@@ -400,31 +454,33 @@ def sensitivity_sweep(
     unlabeled entities only, and a cell whose propagation diverges scores
     every one of them as an error. Each geodesic run unfolds the cloud as
     ``unfold`` does, from the shared geodesic distances and its own SMACOF
-    start. Every cell is reproducible from ``seed``.
+    start; the runs are unfolded in one stack and their weights solved in
+    groups. Every cell is reproducible from ``seed``. ``tally``, when given,
+    gains the ``fallback_rows`` and ``unsettled_rows`` of every weight
+    matrix solved.
     """
     points = np.asarray(points, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
     n = points.shape[0]
     n_classes = int(truth.max()) + 1
     ks = _usable_ks(k_range, n)
+    tally = Counter() if tally is None else tally
     rows: list[SweepRow] = []
-    euclid_weights = {
-        k: reconstruction_weights(points, k, nonnegative=nonnegative) for k in ks
-    }
-    geo = geodesic_distances(points) if "geodesic" in metrics else None
+    euclid_weights = next(_weights_by_run(points[None], ks, nonnegative, tally))
     for metric_id, metric in enumerate(metrics):
-        for run in range(runs):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
-            if metric == "geodesic":
-                unfolded, _ = smacof_mds(
-                    geo, points.shape[1], rng, iters=smacof_iters, tol=smacof_tol
-                )
-                weights_by_k = {
-                    k: reconstruction_weights(unfolded, k, nonnegative=nonnegative)
-                    for k in ks
-                }
-            else:
-                weights_by_k = euclid_weights
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
+            for run in range(runs)
+        ]
+        if metric == "geodesic":
+            unfolded, _ = smacof_mds(
+                geodesic_distances(points), points.shape[1], rngs,
+                iters=smacof_iters, tol=smacof_tol,
+            )
+            weights_by_run = _weights_by_run(unfolded, ks, nonnegative, tally)
+        else:
+            weights_by_run = itertools.repeat(euclid_weights, runs)
+        for run, (rng, weights_by_k) in enumerate(zip(rngs, weights_by_run)):
             for label_count in sorted(label_counts):
                 initial = _draw_balanced_labels(truth, label_count, n_classes, rng)
                 unlabeled = np.array(
@@ -452,23 +508,27 @@ def select_k(
     nonnegative: bool = True,
     smacof_iters: int = 500,
     smacof_tol: float = 1e-9,
+    tally: Counter | None = None,
 ) -> tuple[int, list[dict]]:
     """The k of least median PNE over seeded runs (smallest k on ties), and
     the per-run table of ``np``, ``st`` and ``pne`` rows.
 
-    Each run unfolds the cloud once, as the sweep does; each k is judged by
-    the 2-D LLE embedding of its own weights on the unfolded points."""
+    Each run unfolds the cloud once, as the sweep does (in one stack, with
+    weights solved in groups); each k is judged by the 2-D LLE embedding of
+    its own weights on the unfolded points. ``tally`` is as in
+    ``sensitivity_sweep``."""
     points = np.asarray(points, dtype=float)
     ks = _usable_ks(k_range, points.shape[0])
     d_orig = pairwise_euclidean(points)
-    geo = geodesic_distances(points)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(runs)]
+    unfolded, _ = smacof_mds(
+        geodesic_distances(points), points.shape[1], rngs, iters=smacof_iters, tol=smacof_tol
+    )
+    tally = Counter() if tally is None else tally
     rows: list[dict] = []
-    for run, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
-        rng = np.random.default_rng(child)
-        unfolded, _ = smacof_mds(geo, points.shape[1], rng, iters=smacof_iters, tol=smacof_tol)
+    for run, weights_by_k in enumerate(_weights_by_run(unfolded, ks, nonnegative, tally)):
         for k in ks:
-            wm = reconstruction_weights(unfolded, k, nonnegative=nonnegative)
-            d_embed = pairwise_euclidean(lle_embedding(wm, 2))
+            d_embed = pairwise_euclidean(lle_embedding(weights_by_k[k], 2))
             rows.append(
                 {
                     "k": k,

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import warnings
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+# runs majorized together hold at most this many distances (runs x n x n);
+# larger stacks fall out of the CPU cache and iterate more slowly
+STACK_ENTRIES = 2**15
 
 
 def pairwise_euclidean(points: np.ndarray) -> np.ndarray:
@@ -95,53 +99,114 @@ def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-def _raw_stress(dist: np.ndarray, d_coords: np.ndarray) -> float:
-    delta = dist - d_coords
-    return float(np.sum(np.triu(delta, 1) ** 2))
+def _raw_stress(dist: np.ndarray, d_coords: np.ndarray) -> np.ndarray:
+    """Raw stress of each configuration of a (runs, n, n) distance stack."""
+    return np.sum(np.triu(dist - d_coords, 1) ** 2, axis=(1, 2))
+
+
+def _distances(coords: np.ndarray) -> np.ndarray:
+    """The (runs, n, n) Euclidean distances of a (runs, n, dim) stack."""
+    out = np.empty((coords.shape[0], coords.shape[1], coords.shape[1]))
+    for run, run_coords in enumerate(coords):
+        cdist(run_coords, run_coords, out=out[run])
+    return out
+
+
+def _majorize(
+    dist: np.ndarray,
+    coords: np.ndarray,
+    iters: int,
+    tol: float,
+    final: np.ndarray,
+    history: np.ndarray,
+) -> int:
+    """Iterate a (runs, n, dim) stack of starts together into ``final``,
+    writing each run's stresses down its column of ``history`` (which holds
+    NaN); returns the longest run's step count."""
+    n = dist.shape[0]
+    d_now = _distances(coords)
+    history[0] = _raw_stress(dist, d_now)
+    longest = 0
+    live = np.arange(coords.shape[0])  # the run of each configuration still iterating
+    for step in range(1, iters + 1):
+        if live.size == 0:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(d_now > 0.0, dist / d_now, 0.0)
+        np.negative(b, out=b)
+        diagonal = b.reshape(live.size, -1)[:, :: n + 1]
+        diagonal[:] = 0.0
+        diagonal[:] = -b.sum(axis=2)
+        new_coords = (b @ coords) / n
+        d_new = _distances(new_coords)
+        stress = _raw_stress(dist, d_new)
+        last = history[step - 1, live]
+        # a step that does not improve is at the numerical floor: it is
+        # rejected, and the run stops with its better configuration
+        rejected = stress > last
+        done = rejected | (last - stress < tol * np.maximum(last, 1e-300))
+        new_coords[rejected] = coords[rejected]
+        history[step, live[~rejected]] = stress[~rejected]
+        if not rejected.all():
+            longest = step
+        coords, d_now = new_coords, d_new
+        if done.any():
+            # finished runs leave the stack once, not on every iteration
+            final[live[done]] = coords[done]
+            coords, d_now, live = coords[~done], d_now[~done], live[~done]
+    final[live] = coords
+    return longest
 
 
 def smacof_mds(
     dist: np.ndarray,
     dim: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     iters: int = 500,
     tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stress majorization from a seeded random start.
+    """Stress majorization from seeded random starts, one per Generator.
 
-    Returns (coords, stress_history). Majorization guarantees the raw stress
-    never increases; an update that fails to improve at numerical precision
-    is rejected and iteration stops, so the recorded history is monotone.
-    Each configuration's distances are computed once: the accepted update's
-    matrix serves the next iteration.
+    With one Generator returns (coords, stress_history). Majorization
+    guarantees the raw stress never increases; an update that fails to
+    improve at numerical precision is rejected and iteration stops, so the
+    recorded history is monotone. Each configuration's distances are
+    computed once: the accepted update's matrix serves the next iteration.
+
+    With a sequence of Generators each start is drawn from its own
+    generator, in order, and the runs iterate together, in stacks of at
+    most ``STACK_ENTRIES`` distances: every run stops, with the same bits,
+    where a call with its Generator alone stops. Returns (runs, n, dim)
+    coordinates and a (steps + 1, runs) history, where steps is the longest
+    run's step count; column r is run r's history followed by NaN once it
+    stopped. ``init`` gives the start(s) in the shape of the coordinates
+    returned.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    runs = len(rngs)
     if init is not None:
-        coords = np.array(init, dtype=float)
+        coords = np.array(init, dtype=float).reshape(runs, n, -1)
     else:
         scale = float(dist.max()) or 1.0
-        coords = rng.standard_normal((n, dim)) * (scale / 4.0)
-    d_now = cdist(coords, coords)
-    history = [_raw_stress(dist, d_now)]
-    for _ in range(iters):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d_now > 0.0, dist / d_now, 0.0)
-        b = -ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        new_coords = (b @ coords) / n
-        d_new = cdist(new_coords, new_coords)
-        stress = _raw_stress(dist, d_new)
-        if stress > history[-1]:
-            break  # at the numerical floor; keep the better configuration
-        coords, d_now = new_coords, d_new
-        improvement = history[-1] - stress
-        history.append(stress)
-        if improvement < tol * max(history[-2], 1e-300):
-            break
-    return coords, np.array(history)
+        coords = np.empty((runs, n, dim))
+        for run_coords, generator in zip(coords, rngs):
+            run_coords[:] = generator.standard_normal((n, dim)) * (scale / 4.0)
+    final = np.empty_like(coords)
+    history = np.full((iters + 1, runs), np.nan)
+    size = max(1, STACK_ENTRIES // (n * n))
+    longest = 0
+    for start in range(0, runs, size):
+        stack = slice(start, start + size)
+        steps = _majorize(dist, coords[stack], iters, tol, final[stack], history[:, stack])
+        longest = max(longest, steps)
+    history = history[: longest + 1]
+    if single:
+        return final[0], history[:, 0].copy()
+    return final, history
 
 
 def knn_sets(dist: np.ndarray, k: int) -> np.ndarray:

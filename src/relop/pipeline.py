@@ -8,6 +8,7 @@ import importlib.resources
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -200,7 +201,11 @@ def stage_synth(config: PipelineConfig) -> dict:
 
 
 def stage_ingest(config: PipelineConfig) -> dict:
-    group_a, group_b = parse_str_list(config.keywords_a), parse_str_list(config.keywords_b)
+    # tokens are lowercased, so keywords are too
+    group_a, group_b = (
+        [kw.lower() for kw in parse_str_list(keywords)]
+        for keywords in (config.keywords_a, config.keywords_b)
+    )
     if not group_a or not group_b:
         raise UsageError("keywords_a and keywords_b must each name at least one keyword")
     clients_path = input_path(config, "official_clients.txt")
@@ -414,6 +419,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
     index_of = {name: i for i, name in enumerate(_class_mapping(raw))}
     truth = np.array([index_of[raw[e]] for e in ids], dtype=np.int64)
     ks = _usable_ks(config, len(ids))
+    tally = Counter()
     rows = lnp.sensitivity_sweep(
         coords,
         truth,
@@ -425,6 +431,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
         propagate_tol=config.propagate_tol,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
+        tally=tally,
     )
     _write_csv(
         _work(config, "sweep.csv"),
@@ -436,6 +443,8 @@ def stage_sweep(config: PipelineConfig) -> dict:
         "k_values": len(ks),
         "unreached_rows": sum(r.unreached for r in rows),
         "diverged_cells": sum(r.diverged for r in rows),
+        "fallback_rows": tally["fallback_rows"],
+        "unsettled_rows": tally["unsettled_rows"],
     }
 
 
@@ -444,6 +453,7 @@ def stage_metrics(config: PipelineConfig) -> dict:
     if len(ids) < 4:
         raise DataError("need at least 4 state points for the quality sweep")
     ks = _usable_ks(config, len(ids))
+    tally = Counter()
     k_star, table = lnp.select_k(
         coords,
         ks,
@@ -452,6 +462,7 @@ def stage_metrics(config: PipelineConfig) -> dict:
         nonnegative=config.nonnegative_weights,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
+        tally=tally,
     )
     _write_csv(
         _work(config, "quality_runs.csv"),
@@ -465,7 +476,12 @@ def stage_metrics(config: PipelineConfig) -> dict:
         _work(config, "quality_summary.csv"), ("k", "pne_median", "pne_lo", "pne_hi"), summary
     )
     _work(config, "selected_k.txt").write_text(f"{k_star}\n", encoding="utf-8")
-    return {"k_star": k_star, "runs": config.runs}
+    return {
+        "k_star": k_star,
+        "runs": config.runs,
+        "fallback_rows": tally["fallback_rows"],
+        "unsettled_rows": tally["unsettled_rows"],
+    }
 
 
 def stage_plot(config: PipelineConfig) -> dict:

@@ -1,8 +1,10 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from relop import lnp
 from relop.lnp import (
     LnpProblem,
     WeightMatrix,
@@ -118,6 +120,50 @@ class TestReconstructionWeights:
             np.testing.assert_allclose(wm.row_sums(), 1.0, atol=1e-12)
             assert wm.weights[0][0] == pytest.approx(1.0, abs=1e-6)
             assert wm.weights[1][0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_grouped_weights_match_per_cloud(self):
+        """Runs solved together, in groups of at most ``GROUP_ROWS`` rows,
+        get each cloud's own ``reconstruction_weights``."""
+        rng = np.random.default_rng(14)
+        for n, dim, ks in ((24, 50, range(2, 24)), (30, 2, range(2, 13))):
+            clouds = np.stack([rng.standard_normal((n, dim)) for _ in range(7)])
+            assert len(clouds) * n > lnp.GROUP_ROWS  # more than one group
+            for run, weights_by_k in enumerate(lnp._weights_by_run(clouds, ks, True, Counter())):
+                for k in ks:
+                    ref = reconstruction_weights(clouds[run], k, nonnegative=True)
+                    got = weights_by_k[k]
+                    np.testing.assert_array_equal(got.indices, ref.indices)
+                    np.testing.assert_allclose(got.weights, ref.weights, rtol=0, atol=1e-13)
+
+    def test_fallback_rows_map_to_their_run(self):
+        """Only the middle run of a group plants coincident points 0 and 1;
+        only its matrix lists them as fallback rows."""
+        rng = np.random.default_rng(13)
+        planted = np.vstack([np.zeros((2, 2)), rng.uniform(0.0, 1.0, (12, 2)) + 10.0])
+        clouds = np.stack([rng.uniform(0.0, 1.0, (14, 2)), planted, rng.uniform(0.0, 1.0, (14, 2))])
+        assert clouds.shape[0] * clouds.shape[1] <= lnp.GROUP_ROWS  # one group
+        matrices = [w[2] for w in lnp._weights_by_run(clouds, [2], True, Counter())]
+        assert [wm.fallback_rows.tolist() for wm in matrices] == [[], [0, 1], []]
+        for cloud, wm in zip(clouds, matrices):
+            ref = reconstruction_weights(cloud, 2, nonnegative=True)
+            np.testing.assert_allclose(wm.weights, ref.weights, rtol=0, atol=1e-13)
+
+    def test_unsettled_rows_are_counted(self):
+        """Point 0 mixes 22 points that span 15 of 50 dimensions, so its
+        22-neighbor Gram matrix has rank 15; the active set does not settle
+        within ``MAX_PIVOT_ROUNDS`` (a known fault), and that is reported in
+        the matrix and in a sweep's tally."""
+        rng = np.random.default_rng(0)
+        others = rng.standard_normal((22, 15)) @ rng.standard_normal((15, 50))
+        pts = np.vstack([rng.dirichlet(np.ones(22)) @ others, others])
+        with pytest.warns(UserWarning, match="did not settle"):
+            wm = reconstruction_weights(pts, 22, nonnegative=True)
+        assert wm.unsettled_rows.tolist() == [0]
+        tally = Counter()
+        truth = np.arange(23) % 2
+        with pytest.warns(UserWarning, match="did not settle"):
+            sensitivity_sweep(pts, truth, [4], [22], runs=1, metrics=("euclidean",), tally=tally)
+        assert tally == {"fallback_rows": 0, "unsettled_rows": 1}
 
     def test_geodesic_metric_changes_neighbors(self):
         sample = gen_manifold("swiss_roll", 80, noise=0.0, seed=3)

@@ -269,6 +269,49 @@ class TestSmacof:
         np.testing.assert_array_equal(history, ref_history)
 
 
+    @pytest.mark.parametrize(
+        "cloud, dim, iters, tol, stops",
+        [
+            ("moons", 2, 300, 1e-9, {"tol", "cap"}),  # the runs stop at 263-300
+            ("small", 2, 5000, 0.0, {"rejected"}),  # tol 0: only a rejected step stops
+            ("cloud", 3, 40, 1e-9, {"cap"}),
+        ],
+    )
+    def test_stack_matches_single_runs(self, cloud, dim, iters, tol, stops):
+        """One call over a stack of Generators gives every run the
+        coordinates and history of a call with its Generator alone, bit for
+        bit, wherever each run stops."""
+        if cloud == "moons":
+            pts = gen_manifold("two_moons", 100, noise=0.08, seed=0).points
+            assert manifold.STACK_ENTRIES // len(pts) ** 2 < 4  # the runs span two stacks
+        else:
+            pts = np.random.default_rng(6).standard_normal((6 if cloud == "small" else 15, 3))
+        dist = geodesic_distances(pts)
+        seeds = range(4)
+        coords, history = smacof_mds(
+            dist, dim, [np.random.default_rng(s) for s in seeds], iters, tol
+        )
+        assert coords.shape == (len(seeds), len(pts), dim)
+        steps, reasons = [], set()
+        for run, seed in enumerate(seeds):
+            ref_coords, ref_history = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
+            np.testing.assert_array_equal(coords[run], ref_coords)
+            column = history[:, run]
+            np.testing.assert_array_equal(column[: len(ref_history)], ref_history)
+            assert np.isnan(column[len(ref_history) :]).all()
+            steps.append(len(ref_history) - 1)
+            if steps[-1] == iters:
+                reasons.add("cap")
+            elif ref_history[-2] - ref_history[-1] < tol * ref_history[-2]:
+                reasons.add("tol")
+            else:
+                reasons.add("rejected")
+        assert len(history) - 1 == max(steps)
+        assert reasons == stops
+        if cloud != "cloud":
+            assert len(set(steps)) > 1
+
+
 class TestQualityMeasures:
     def test_np_identical_spaces(self):
         d = pairwise_euclidean(np.random.default_rng(0).standard_normal((12, 3)))

@@ -189,6 +189,10 @@ class TestPipelineChain:
         counts = next(r["counts"] for r in records if r["stage"] == "sweep")
         assert counts["diverged_cells"] == 0  # nonnegative weights are contractive
         assert isinstance(counts["unreached_rows"], int) and counts["unreached_rows"] >= 0
+        for stage in ("sweep", "metrics"):
+            counts = next(r["counts"] for r in records if r["stage"] == stage)
+            for key in ("fallback_rows", "unsettled_rows"):
+                assert isinstance(counts[key], int) and counts[key] >= 0
 
     def test_sweep_takes_smacof_iters_from_the_config(self, chain_dirs, tmp_path, monkeypatch):
         from relop import lnp
@@ -199,8 +203,10 @@ class TestPipelineChain:
         smacof_mds = lnp.smacof_mds
 
         def spy(*args, **kwargs):
+            # one call unfolds every run: column r of the history is run r's,
+            # NaN after it stopped
             coords, history = smacof_mds(*args, **kwargs)
-            iterations.append(len(history) - 1)
+            iterations.extend((~np.isnan(history)).sum(axis=0) - 1)
             return coords, history
 
         monkeypatch.setattr(lnp, "smacof_mds", spy)
@@ -275,6 +281,14 @@ class TestIngestStage:
         counts = _manifest(tmp_path)[-1]["counts"]
         assert 0 < counts["official"] < counts["relevant"]
         assert counts["official_fraction"] == round(counts["official"] / counts["relevant"], 6)
+
+    def test_keywords_match_whatever_their_case(self, tmp_path):
+        run_stage("synth", small_config(tmp_path))
+        written = []
+        for keyword in ("Trump", "trump"):
+            assert main(["ingest", "--workdir", str(tmp_path), "--keywords_a", keyword]) == 0
+            written.append(Path(tmp_path, "clean.jsonl").read_bytes())
+        assert written[0] and written[0] == written[1]
 
     def test_empty_keyword_group_is_usage_error(self, tmp_path):
         run_stage("synth", small_config(tmp_path))
