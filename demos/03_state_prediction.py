@@ -12,7 +12,7 @@ import numpy as np
 from relop.aggregate import aggregate_corpus
 from relop.hashtags import TrainingSet
 from relop.ingest import build_vocab, content_tokens, infer_state, tokenize, Gazetteer
-from relop.lnp import LnpProblem, evaluate_fixture, predict
+from relop.lnp import evaluate_fixture, predict
 from relop.manifold import classical_mds, pairwise_euclidean
 from relop.oowe import OoweConfig, train
 from relop.pipeline import data_path
@@ -55,7 +55,7 @@ for side in (0, 1):
 print("initial labels:", {states[i]: f"side{c}" for i, c in labeled.items()})
 
 classes, scores = predict(
-    LnpProblem(points, labeled, 2, k=min(8, len(states) - 1), metric="geodesic", seed=0)
+    points, labeled, 2, k=min(8, len(states) - 1), metric="geodesic", seed=0
 )
 predictions = {s: f"side{int(c)}" for s, c in zip(states, classes)}
 errors, misses = evaluate_fixture(predictions, truth)

@@ -43,7 +43,6 @@ from .ingest import (
     tokenize,
 )
 from .lnp import (
-    LnpProblem,
     WeightMatrix,
     evaluate_fixture,
     predict,

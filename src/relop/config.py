@@ -43,7 +43,6 @@ class PipelineConfig:
     # prediction
     lnp_k: int = 18
     lnp_metric: str = "geodesic"
-    nonnegative_weights: bool = True
     propagate_tol: float = 1e-9
     smacof_iters: int = 500
     smacof_tol: float = 1e-9
@@ -67,6 +66,11 @@ class PipelineConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# string keys that take one of a fixed set of values
+_CHOICES = {
+    "lnp_metric": ("euclidean", "geodesic"),
+    "plot_size_channel": ("stddev", "representativeness"),
+}
 
 
 def _parse_value(name: str, raw: str):
@@ -83,9 +87,13 @@ def _parse_value(name: str, raw: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return raw
+        if name == "label_counts":
+            parse_int_list(raw)
     except ValueError as exc:
         raise UsageError(f"cannot parse config value {name} = {raw!r}") from exc
+    if name in _CHOICES and raw not in _CHOICES[name]:
+        raise UsageError(f"config value {name} must be one of {', '.join(_CHOICES[name])}")
+    return raw
 
 
 def _format_value(value) -> str:

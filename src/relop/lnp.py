@@ -221,66 +221,62 @@ def _solve_group(
 
 
 def reconstruction_weights(
-    points: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-    nonnegative: bool = False,
+    points: np.ndarray, k: int, nonnegative: bool = False
 ) -> WeightMatrix:
     """Weights that best reconstruct each point from its k nearest neighbors.
 
-    Neighbors are ranked under ``metric`` (geodesic ranks by shortest-path
-    distance over the point cloud); the local Gram systems G w = 1 of all
-    points are solved together and normalized to sum to one.
-    ``nonnegative=True`` adds the w >= 0 constraint, which makes the
-    downstream propagation matrix sub-stochastic and therefore contractive.
+    The local Gram systems G w = 1 of all points are solved together and
+    normalized to sum to one. ``nonnegative=True`` adds the w >= 0
+    constraint, which makes the downstream propagation matrix
+    sub-stochastic and therefore contractive; the protocols solve with it.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (0 < k < n):
         raise ValueError("require 0 < k < n")
-    if metric == "euclidean":
-        dist = pairwise_euclidean(points)
-    elif metric == "geodesic":
-        dist = geodesic_distances(points)
-    else:
-        raise ValueError(f"unknown metric: {metric}")
-    return _solve_group([points], [knn_sets(dist, k)], nonnegative)[0]
+    return _solve_group([points], [knn_sets(pairwise_euclidean(points), k)], nonnegative)[0]
+
+
+def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
+    tally["fallback_rows"] += wm.fallback_rows.size
+    tally["unsettled_rows"] += wm.unsettled_rows.size
 
 
 def _weights_by_run(
-    clouds: np.ndarray, ks: Sequence[int], nonnegative: bool, tally: Counter
+    clouds: np.ndarray, ks: Sequence[int], tally: Counter
 ) -> Iterator[dict[int, WeightMatrix]]:
-    """Each cloud's ``reconstruction_weights`` for every k in ``ks``, in
-    order. For each k the systems of several clouds are solved at once, in
-    groups of at most ``GROUP_ROWS`` rows (one cloud at least). ``tally``
-    gains the ``fallback_rows`` and ``unsettled_rows`` of every matrix."""
+    """Each cloud's nonnegative ``reconstruction_weights`` for every k in
+    ``ks``, in order. For each k the systems of several clouds are solved at
+    once, in groups of at most ``GROUP_ROWS`` rows (one cloud at least).
+    ``tally`` gains the ``fallback_rows`` and ``unsettled_rows`` of every
+    matrix."""
     n = clouds.shape[1]
     size = max(1, GROUP_ROWS // n)
     for start in range(0, len(clouds), size):
         group = clouds[start : start + size]
         orders = [knn_sets(pairwise_euclidean(cloud), n - 1) for cloud in group]
-        solved = {
-            k: _solve_group(group, [order[:, :k] for order in orders], nonnegative) for k in ks
-        }
+        solved = {k: _solve_group(group, [order[:, :k] for order in orders], True) for k in ks}
         for matrices in solved.values():
             for wm in matrices:
-                tally["fallback_rows"] += wm.fallback_rows.size
-                tally["unsettled_rows"] += wm.unsettled_rows.size
+                _count_rows(tally, wm)
         for run in range(len(group)):
             yield {k: solved[k][run] for k in ks}
 
 
 def unfold(
     points: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     iters: int = 500,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Flatten the point cloud by embedding its geodesic distances via
-    stress-majorization MDS at the original dimensionality."""
+    stress-majorization MDS at the original dimensionality.
+
+    As with ``smacof_mds``, one Generator gives one (n, d) unfolding, and a
+    sequence of Generators a (runs, n, d) stack of them, iterated together;
+    each run's coordinates are the bits its Generator gives alone."""
     points = np.asarray(points, dtype=float)
-    geo = geodesic_distances(points)
-    coords, _ = smacof_mds(geo, points.shape[1], rng, iters=iters, tol=tol)
+    coords, _ = smacof_mds(geodesic_distances(points), points.shape[1], rng, iters=iters, tol=tol)
     return coords
 
 
@@ -361,41 +357,34 @@ def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
     return vectors[:, null : null + dim] * np.sqrt(n)
 
 
-@dataclass
-class LnpProblem:
-    points: np.ndarray
-    initial_labels: dict[int, int]
-    n_classes: int
-    k: int
-    metric: str = "euclidean"
-    seed: int = 0
-    # the prediction path needs a contractive propagation matrix, so it
-    # defaults to the constrained weight solve; flip to compare with the
-    # unconstrained variant (divergence is then monitored and reported)
-    nonnegative_weights: bool = True
-    propagate_tol: float = 1e-9
-    smacof_iters: int = 500
-    smacof_tol: float = 1e-9
-
-
-def predict(problem: LnpProblem) -> tuple[np.ndarray, np.ndarray]:
+def predict(
+    points: np.ndarray,
+    initial_labels: Mapping[int, int],
+    n_classes: int,
+    k: int,
+    metric: str = "euclidean",
+    seed: int = 0,
+    propagate_tol: float = 1e-9,
+    smacof_iters: int = 500,
+    smacof_tol: float = 1e-9,
+    tally: Counter | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the full propagation pipeline; returns (classes, soft scores).
 
-    The geodesic variant first unfolds the cloud, then finds neighbors and
-    weights on the unfolded coordinates.
+    The geodesic variant first unfolds the cloud from a SMACOF start drawn
+    from ``seed``, then finds neighbors and nonnegative weights on the
+    unfolded coordinates. ``tally`` is as in ``sensitivity_sweep``.
     """
-    points = np.asarray(problem.points, dtype=float)
-    if problem.metric == "geodesic":
-        rng = np.random.default_rng(problem.seed)
-        points = unfold(
-            points, rng, iters=problem.smacof_iters, tol=problem.smacof_tol
-        )
-    elif problem.metric != "euclidean":
-        raise ValueError(f"unknown metric: {problem.metric}")
-    wm = reconstruction_weights(points, problem.k, nonnegative=problem.nonnegative_weights)
-    soft = propagate(wm, problem.initial_labels, problem.n_classes, tol=problem.propagate_tol)
-    classes = np.argmax(soft, axis=1)
-    return classes, soft
+    points = np.asarray(points, dtype=float)
+    if metric == "geodesic":
+        points = unfold(points, np.random.default_rng(seed), iters=smacof_iters, tol=smacof_tol)
+    elif metric != "euclidean":
+        raise ValueError(f"unknown metric: {metric}")
+    wm = reconstruction_weights(points, k, nonnegative=True)
+    if tally is not None:
+        _count_rows(tally, wm)
+    soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol)
+    return np.argmax(soft, axis=1), soft
 
 
 @dataclass
@@ -406,7 +395,6 @@ class SweepRow:
     run: int
     errors: int
     unreached: int = 0  # unlabeled points no label reached (scores all zero)
-    diverged: bool = False
 
 
 def _usable_ks(k_range: Iterable[int], n: int) -> list[int]:
@@ -442,7 +430,6 @@ def sensitivity_sweep(
     runs: int = 50,
     seed: int = 0,
     metrics: Sequence[str] = ("euclidean", "geodesic"),
-    nonnegative: bool = True,
     propagate_tol: float = 1e-9,
     smacof_iters: int = 500,
     smacof_tol: float = 1e-9,
@@ -451,10 +438,9 @@ def sensitivity_sweep(
     """Prediction-error table over metric x label budget x k x seeded run.
 
     Initial labels are balanced draws from the truth; errors are counted on
-    unlabeled entities only, and a cell whose propagation diverges scores
-    every one of them as an error. Each geodesic run unfolds the cloud as
-    ``unfold`` does, from the shared geodesic distances and its own SMACOF
-    start; the runs are unfolded in one stack and their weights solved in
+    unlabeled entities only. Weights are nonnegative, so every propagation
+    is contractive. Each geodesic run has its own SMACOF start; one
+    ``unfold`` call unfolds every run, and their weights are solved in
     groups. Every cell is reproducible from ``seed``. ``tally``, when given,
     gains the ``fallback_rows`` and ``unsettled_rows`` of every weight
     matrix solved.
@@ -466,18 +452,15 @@ def sensitivity_sweep(
     ks = _usable_ks(k_range, n)
     tally = Counter() if tally is None else tally
     rows: list[SweepRow] = []
-    euclid_weights = next(_weights_by_run(points[None], ks, nonnegative, tally))
+    euclid_weights = next(_weights_by_run(points[None], ks, tally))
     for metric_id, metric in enumerate(metrics):
         rngs = [
             np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
             for run in range(runs)
         ]
         if metric == "geodesic":
-            unfolded, _ = smacof_mds(
-                geodesic_distances(points), points.shape[1], rngs,
-                iters=smacof_iters, tol=smacof_tol,
-            )
-            weights_by_run = _weights_by_run(unfolded, ks, nonnegative, tally)
+            unfolded = unfold(points, rngs, iters=smacof_iters, tol=smacof_tol)
+            weights_by_run = _weights_by_run(unfolded, ks, tally)
         else:
             weights_by_run = itertools.repeat(euclid_weights, runs)
         for run, (rng, weights_by_k) in enumerate(zip(rngs, weights_by_run)):
@@ -489,11 +472,6 @@ def sensitivity_sweep(
                 for k in ks:
                     soft = propagate(weights_by_k[k], initial, n_classes, tol=propagate_tol)
                     scores = soft[unlabeled]
-                    if not np.isfinite(scores).all():
-                        rows.append(
-                            SweepRow(metric, label_count, k, run, unlabeled.size, diverged=True)
-                        )
-                        continue
                     errors = int((np.argmax(scores, axis=1) != truth[unlabeled]).sum())
                     unreached = int((~scores.any(axis=1)).sum())
                     rows.append(SweepRow(metric, label_count, k, run, errors, unreached))
@@ -505,7 +483,6 @@ def select_k(
     k_range: Iterable[int],
     runs: int = 50,
     seed: int = 0,
-    nonnegative: bool = True,
     smacof_iters: int = 500,
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
@@ -513,20 +490,18 @@ def select_k(
     """The k of least median PNE over seeded runs (smallest k on ties), and
     the per-run table of ``np``, ``st`` and ``pne`` rows.
 
-    Each run unfolds the cloud once, as the sweep does (in one stack, with
-    weights solved in groups); each k is judged by the 2-D LLE embedding of
-    its own weights on the unfolded points. ``tally`` is as in
-    ``sensitivity_sweep``."""
+    Each run unfolds the cloud once, as the sweep does (one ``unfold`` call
+    for every run, with weights solved in groups); each k is judged by the
+    2-D LLE embedding of its own weights on the unfolded points. ``tally``
+    is as in ``sensitivity_sweep``."""
     points = np.asarray(points, dtype=float)
     ks = _usable_ks(k_range, points.shape[0])
     d_orig = pairwise_euclidean(points)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(runs)]
-    unfolded, _ = smacof_mds(
-        geodesic_distances(points), points.shape[1], rngs, iters=smacof_iters, tol=smacof_tol
-    )
+    unfolded = unfold(points, rngs, iters=smacof_iters, tol=smacof_tol)
     tally = Counter() if tally is None else tally
     rows: list[dict] = []
-    for run, weights_by_k in enumerate(_weights_by_run(unfolded, ks, nonnegative, tally)):
+    for run, weights_by_k in enumerate(_weights_by_run(unfolded, ks, tally)):
         for k in ks:
             d_embed = pairwise_euclidean(lle_embedding(weights_by_k[k], 2))
             rows.append(

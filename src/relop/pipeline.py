@@ -371,19 +371,19 @@ def stage_predict(config: PipelineConfig) -> dict:
         raise DataError(f"labeled entities missing from points: {unknown}")
     initial = {row_of[e]: index_of[c] for e, c in raw_labels.items()}
     k = min(config.lnp_k, len(ids) - 1)
-    problem = lnp.LnpProblem(
-        points=coords,
-        initial_labels=initial,
-        n_classes=len(classes),
-        k=k,
+    tally = Counter()
+    predicted, soft = lnp.predict(
+        coords,
+        initial,
+        len(classes),
+        k,
         metric=config.lnp_metric,
         seed=stage_seed(config, "predict"),
-        nonnegative_weights=config.nonnegative_weights,
         propagate_tol=config.propagate_tol,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
+        tally=tally,
     )
-    predicted, soft = lnp.predict(problem)
     header = ["entity", "class"] + [f"score_{i + 1}" for i in range(len(classes))]
     _write_csv(
         _work(config, "predictions.csv"),
@@ -398,7 +398,8 @@ def stage_predict(config: PipelineConfig) -> dict:
         "k": k,
         "metric": config.lnp_metric,
         "unreached_rows": int((~soft.any(axis=1)).sum()),  # no label reached: all zero
-        "diverged_rows": int(np.isnan(soft).any(axis=1).sum()),
+        "fallback_rows": tally["fallback_rows"],
+        "unsettled_rows": tally["unsettled_rows"],
     }
 
 
@@ -427,7 +428,6 @@ def stage_sweep(config: PipelineConfig) -> dict:
         ks,
         runs=config.runs,
         seed=stage_seed(config, "sweep"),
-        nonnegative=config.nonnegative_weights,
         propagate_tol=config.propagate_tol,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
@@ -442,7 +442,6 @@ def stage_sweep(config: PipelineConfig) -> dict:
         "rows": len(rows),
         "k_values": len(ks),
         "unreached_rows": sum(r.unreached for r in rows),
-        "diverged_cells": sum(r.diverged for r in rows),
         "fallback_rows": tally["fallback_rows"],
         "unsettled_rows": tally["unsettled_rows"],
     }
@@ -459,7 +458,6 @@ def stage_metrics(config: PipelineConfig) -> dict:
         ks,
         runs=config.runs,
         seed=stage_seed(config, "metrics"),
-        nonnegative=config.nonnegative_weights,
         smacof_iters=config.smacof_iters,
         smacof_tol=config.smacof_tol,
         tally=tally,
@@ -494,7 +492,7 @@ def stage_plot(config: PipelineConfig) -> dict:
     sizes: dict[str, float] = {}
     summary_path = input_path(config, "state_summary.csv")
     if summary_path.exists():
-        column = "stddev" if config.plot_size_channel == "stddev" else "representativeness"
+        column = config.plot_size_channel
         for row in _read_csv(summary_path):
             if row["state"] and row[column]:
                 sizes[row["state"]] = float(row[column])

@@ -6,7 +6,6 @@ import pytest
 
 from relop import lnp
 from relop.lnp import (
-    LnpProblem,
     WeightMatrix,
     evaluate_fixture,
     lle_embedding,
@@ -128,7 +127,7 @@ class TestReconstructionWeights:
         for n, dim, ks in ((24, 50, range(2, 24)), (30, 2, range(2, 13))):
             clouds = np.stack([rng.standard_normal((n, dim)) for _ in range(7)])
             assert len(clouds) * n > lnp.GROUP_ROWS  # more than one group
-            for run, weights_by_k in enumerate(lnp._weights_by_run(clouds, ks, True, Counter())):
+            for run, weights_by_k in enumerate(lnp._weights_by_run(clouds, ks, Counter())):
                 for k in ks:
                     ref = reconstruction_weights(clouds[run], k, nonnegative=True)
                     got = weights_by_k[k]
@@ -142,7 +141,7 @@ class TestReconstructionWeights:
         planted = np.vstack([np.zeros((2, 2)), rng.uniform(0.0, 1.0, (12, 2)) + 10.0])
         clouds = np.stack([rng.uniform(0.0, 1.0, (14, 2)), planted, rng.uniform(0.0, 1.0, (14, 2))])
         assert clouds.shape[0] * clouds.shape[1] <= lnp.GROUP_ROWS  # one group
-        matrices = [w[2] for w in lnp._weights_by_run(clouds, [2], True, Counter())]
+        matrices = [w[2] for w in lnp._weights_by_run(clouds, [2], Counter())]
         assert [wm.fallback_rows.tolist() for wm in matrices] == [[], [0, 1], []]
         for cloud, wm in zip(clouds, matrices):
             ref = reconstruction_weights(cloud, 2, nonnegative=True)
@@ -164,12 +163,6 @@ class TestReconstructionWeights:
         with pytest.warns(UserWarning, match="did not settle"):
             sensitivity_sweep(pts, truth, [4], [22], runs=1, metrics=("euclidean",), tally=tally)
         assert tally == {"fallback_rows": 0, "unsettled_rows": 1}
-
-    def test_geodesic_metric_changes_neighbors(self):
-        sample = gen_manifold("swiss_roll", 80, noise=0.0, seed=3)
-        euc = reconstruction_weights(sample.points, 5, metric="euclidean")
-        geo = reconstruction_weights(sample.points, 5, metric="geodesic")
-        assert not np.array_equal(euc.indices, geo.indices)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -210,6 +203,16 @@ class TestUnfold:
         pts = np.tile([[2.0, -1.0]], (12, 1))
         coords = unfold(pts, np.random.default_rng(2))
         assert pairwise_euclidean(coords).max() < 1e-9
+
+    def test_generator_sequence_unfolds_each_run_as_alone(self):
+        """A sequence of Generators gives one unfolding per start, each with
+        the bits of a call with that Generator alone."""
+        sample = gen_manifold("swiss_roll", 40, noise=0.0, seed=5)
+        stacked = unfold(sample.points, [np.random.default_rng(s) for s in range(3)], iters=80)
+        assert stacked.shape == (3, *sample.points.shape)
+        for s, coords in enumerate(stacked):
+            alone = unfold(sample.points, np.random.default_rng(s), iters=80)
+            np.testing.assert_array_equal(coords, alone)
 
 
 def chain_weights(n):
@@ -342,7 +345,7 @@ class TestPredict:
     def test_all_points_labeled(self):
         pts = np.random.default_rng(7).standard_normal((6, 2))
         initial = {i: i % 2 for i in range(6)}
-        classes, soft = predict(LnpProblem(pts, initial, 2, k=2))
+        classes, soft = predict(pts, initial, 2, k=2)
         assert classes.tolist() == [0, 1, 0, 1, 0, 1]
         np.testing.assert_array_equal(soft.sum(axis=1), np.ones(6))
 
@@ -350,31 +353,39 @@ class TestPredict:
         sample = gen_manifold("blobs", 60, noise=1.0, seed=8)
         i0 = int(np.flatnonzero(sample.classes == 0)[0])
         i1 = int(np.flatnonzero(sample.classes == 1)[0])
-        classes, _ = predict(LnpProblem(sample.points, {i0: 0, i1: 1}, 2, k=5))
+        classes, _ = predict(sample.points, {i0: 0, i1: 1}, 2, k=5)
         assert (classes != sample.classes).sum() == 0
 
     def test_invariant_under_translation_and_scale(self):
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((30, 3))
         initial = {0: 0, 1: 1, 2: 0, 3: 1}
-        base, _ = predict(LnpProblem(pts, initial, 2, k=4, seed=5))
-        shifted, _ = predict(LnpProblem(pts + 13.7, initial, 2, k=4, seed=5))
-        scaled, _ = predict(LnpProblem(pts * 0.031, initial, 2, k=4, seed=5))
+        base, _ = predict(pts, initial, 2, k=4, seed=5)
+        shifted, _ = predict(pts + 13.7, initial, 2, k=4, seed=5)
+        scaled, _ = predict(pts * 0.031, initial, 2, k=4, seed=5)
         np.testing.assert_array_equal(base, shifted)
         np.testing.assert_array_equal(base, scaled)
 
     def test_deterministic_given_seed(self):
         sample = gen_manifold("two_moons", 60, noise=0.08, seed=10)
         initial = {0: 0, 40: 1}
-        problem = LnpProblem(sample.points, initial, 2, k=6, metric="geodesic", seed=3)
-        first = predict(problem)
-        second = predict(problem)
+        first = predict(sample.points, initial, 2, k=6, metric="geodesic", seed=3)
+        second = predict(sample.points, initial, 2, k=6, metric="geodesic", seed=3)
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
+    def test_tally_counts_the_weight_rows(self):
+        """Rows 0 and 1 coincide, so each needs a fallback ridge (as in
+        ``test_fallback_ridge_only_for_coincident_neighbors``)."""
+        cloud = np.random.default_rng(13).uniform(0.0, 1.0, (12, 2)) + 10.0
+        pts = np.vstack([[[0.0, 0.0], [0.0, 0.0]], cloud])
+        tally = Counter()
+        predict(pts, {0: 0, 5: 1}, 2, k=2, tally=tally)
+        assert tally == {"fallback_rows": 2, "unsettled_rows": 0}
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            predict(LnpProblem(np.zeros((5, 2)), {0: 0}, 1, k=2, metric="hyperbolic"))
+            predict(np.zeros((5, 2)), {0: 0}, 1, k=2, metric="hyperbolic")
 
 
 @pytest.fixture(scope="module")
@@ -407,27 +418,6 @@ class TestSensitivitySweep:
             ("euclidean", 4, 2), ("euclidean", 4, 3),
             ("geodesic", 4, 2), ("geodesic", 4, 3),
         }
-
-    def test_divergent_cell_scores_every_unlabeled_point(self, moons, monkeypatch):
-        import relop.lnp as lnp_module
-
-        real = lnp_module.propagate
-
-        def diverging_at_k3(wm, initial, n_classes, tol=1e-9):
-            soft = real(wm, initial, n_classes, tol=tol)
-            if wm.k == 3:
-                soft[[i for i in range(wm.n_points) if i not in initial]] = np.nan
-            return soft
-
-        monkeypatch.setattr(lnp_module, "propagate", diverging_at_k3)
-        rows = sensitivity_sweep(
-            moons.points, moons.classes, [4], [2, 3], runs=2, seed=1,
-            metrics=("euclidean",),
-        )
-        for row in rows:
-            assert row.diverged == (row.k == 3)
-            if row.diverged:
-                assert row.errors == len(moons.points) - 4
 
     def test_geodesic_helps_at_larger_k(self, moons):
         """Lighter version of the acceptance protocol: for some k in the

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +82,35 @@ class TestConfig:
 
     def test_removed_iteration_cap_is_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("propagate_max_iters = 10000\n")
-        with pytest.raises(UsageError):
-            load_config(path)
+        for line in ("propagate_max_iters = 10000\n", "nonnegative_weights = false\n"):
+            path.write_text(line)
+            with pytest.raises(UsageError):
+                load_config(path)
 
     def test_override_type_parsing(self):
         config = apply_overrides(
             PipelineConfig(),
-            [("master_seed", "3"), ("alpha", "0.9"), ("nonnegative_weights", "false")],
+            [("master_seed", "3"), ("alpha", "0.9"), ("lpa_weighted", "true"),
+             ("lnp_metric", "euclidean"), ("plot_size_channel", "representativeness"),
+             ("label_counts", "4, 8")],
         )
         assert config.master_seed == 3
         assert config.alpha == 0.9
-        assert config.nonnegative_weights is False
+        assert config.lpa_weighted is True
+        assert config.lnp_metric == "euclidean"
+        assert config.plot_size_channel == "representativeness"
+        assert config.label_counts == "4, 8"
+
+    def test_every_field_is_read(self):
+        """A knob that nothing reads has no place in the config: each field
+        is read in the package as ``config.<name>`` or relocates an input
+        through ``_RELOCATED_BY``."""
+        from relop import pipeline
+
+        package = Path(pipeline.__file__).parent
+        source = "".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
+        read = set(re.findall(r"\bconfig\.(\w+)", source)) | set(pipeline._RELOCATED_BY.values())
+        assert [f.name for f in fields(PipelineConfig) if f.name not in read] == []
 
     def test_hash_tracks_content(self):
         a, b = PipelineConfig(), PipelineConfig(master_seed=1)
@@ -187,7 +206,6 @@ class TestPipelineChain:
             for line in Path(chain_dirs["a"], "runs.jsonl").read_text().splitlines()
         ]
         counts = next(r["counts"] for r in records if r["stage"] == "sweep")
-        assert counts["diverged_cells"] == 0  # nonnegative weights are contractive
         assert isinstance(counts["unreached_rows"], int) and counts["unreached_rows"] >= 0
         for stage in ("sweep", "metrics"):
             counts = next(r["counts"] for r in records if r["stage"] == stage)
@@ -232,6 +250,21 @@ class TestCli:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["not-a-stage", "--workdir", "/tmp/nope"]) == 1
         assert main(["synth", "--no_such_key", "1"]) == 1
+        assert main(["sweep", "--nonnegative_weights", "false"]) == 1
+
+    # each bad value below is rejected as the key is parsed, before the stage
+    # looks for its inputs (an empty work directory is a data error, exit 2)
+    def test_unknown_lnp_metric_is_exit_1(self, tmp_path, capsys):
+        assert main(["predict", "--workdir", str(tmp_path), "--lnp_metric", "hyperbolic"]) == 1
+        assert "lnp_metric" in capsys.readouterr().err
+
+    def test_unparsable_label_counts_is_exit_1(self, tmp_path, capsys):
+        assert main(["sweep", "--workdir", str(tmp_path), "--label_counts", "x"]) == 1
+        assert "label_counts" in capsys.readouterr().err
+
+    def test_unknown_plot_size_channel_is_exit_1(self, tmp_path, capsys):
+        assert main(["plot", "--workdir", str(tmp_path), "--plot_size_channel", "stdev"]) == 1
+        assert "plot_size_channel" in capsys.readouterr().err
 
     def test_data_error_is_exit_2(self, tmp_path):
         assert main(["ingest", "--workdir", str(tmp_path)]) == 2
@@ -467,5 +500,5 @@ class TestManifests:
         config = small_config(tmp_path, lnp_metric="euclidean", lnp_k=3, labels_file=str(labels))
         counts = run_stage("predict", config)
         assert counts["unreached_rows"] == 5
-        assert counts["diverged_rows"] == 0
+        assert counts["fallback_rows"] == 0 and counts["unsettled_rows"] == 0
         assert str(labels) in _manifest(tmp_path)[-1]["inputs"]
