@@ -78,6 +78,8 @@ def _parse_value(name: str, raw: str):
     raw = raw.strip()
     try:
         if kind in ("int", int):
+            if name == "lnp_k" and int(raw) < 1:
+                raise UsageError("config value lnp_k must be at least 1")
             return int(raw)
         if kind in ("float", float):
             return float(raw)

@@ -18,7 +18,7 @@ from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_m
 # solved exactly, falling back to a tiny ridge only on singular input
 STRUCTURAL_RIDGE = 1e-3
 FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
-# active-set rounds after which a nonnegative solve is reported unsettled
+# active-set rounds after which a weight solve is reported unsettled
 MAX_PIVOT_ROUNDS = 200
 # a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
 DUAL_TOL = 1e-10
@@ -32,16 +32,21 @@ class WeightMatrix:
     """Row-stochastic local reconstruction weights.
 
     ``indices[i]`` lists point i's k neighbors and ``weights[i]`` their
-    coefficients, which sum to one per row; entries may be negative.
+    coefficients, which are nonnegative and sum to one per row, as LNP
+    defines them; construction raises ``ValueError`` otherwise.
     ``fallback_rows`` lists the rows whose local Gram system was singular
-    and needed a ``FALLBACK_RIDGES`` ridge; ``unsettled_rows`` the rows of
-    a nonnegative solve still unsettled after ``MAX_PIVOT_ROUNDS`` rounds.
+    and needed a ``FALLBACK_RIDGES`` ridge; ``unsettled_rows`` the rows
+    whose active set was still unsettled after ``MAX_PIVOT_ROUNDS`` rounds.
     """
 
     indices: np.ndarray  # (n, k) int
     weights: np.ndarray  # (n, k) float
     fallback_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     unsettled_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __post_init__(self) -> None:
+        if not ((self.weights >= 0.0).all() and (np.abs(self.row_sums() - 1.0) <= 1e-12).all()):
+            raise ValueError("reconstruction weights must be nonnegative and sum to one per row")
 
     @property
     def n_points(self) -> int:
@@ -84,8 +89,20 @@ def _gram(diffs: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _unusable(solutions: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(solutions).all(axis=1) | (np.abs(solutions.sum(axis=1)) <= 1e-12)
+def _unusable(gram: np.ndarray, solutions: np.ndarray) -> np.ndarray:
+    """Rows of a stack of Gram systems that count as singular: the solution
+    is not finite or sums to zero, or the matrix has no Cholesky factor (the
+    active set's free blocks could be singular, and it would cycle)."""
+    out = ~np.isfinite(solutions).all(axis=1) | (np.abs(solutions.sum(axis=1)) <= 1e-12)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(~out):
+            try:
+                np.linalg.cholesky(gram[i])
+            except np.linalg.LinAlgError:
+                out[i] = True
+    return out
 
 
 def _free_solve(gram: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -165,11 +182,12 @@ def _nonnegative_active_set(
 
 
 def _local_weights(
-    diffs: np.ndarray, structural: bool, nonnegative: bool
+    diffs: np.ndarray, structural: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights of every point's local Gram system at once, from the (n, k, d)
-    differences to its neighbors; returns (weights, fallback rows,
-    unsettled rows)."""
+    """Nonnegative weights of every point's local Gram system at once, from
+    the (n, k, d) differences to its neighbors; returns (weights, fallback
+    rows, unsettled rows). The unconstrained solution of G w = 1 is the
+    active set's starting point."""
     n, k, _ = diffs.shape
     scale = np.einsum("nkd,nkd->n", diffs, diffs) / k  # trace(G) / k
     scale[scale <= 0.0] = 1.0
@@ -177,27 +195,25 @@ def _local_weights(
     gram = _gram(diffs, ridge)
     ones = np.ones((n, k))
     solutions = _stacked_solve(gram, ones)
-    fallback = np.flatnonzero(_unusable(solutions))
+    fallback = np.flatnonzero(_unusable(gram, solutions))
     pending = fallback
     for eps in FALLBACK_RIDGES:
         if pending.size == 0:
             break
         system = _gram(diffs[pending], ridge[pending] + eps * scale[pending])
         retried = _stacked_solve(system, ones[pending])
-        ok = ~_unusable(retried)
+        ok = ~_unusable(system, retried)
         gram[pending[ok]] = system[ok]
         solutions[pending[ok]] = retried[ok]
         pending = pending[~ok]
     if pending.size:
         raise np.linalg.LinAlgError("local Gram system could not be stabilized")
-    unsettled = np.zeros(0, dtype=np.int64)
-    if nonnegative:
-        solutions, unsettled = _nonnegative_active_set(gram, solutions)
+    solutions, unsettled = _nonnegative_active_set(gram, solutions)
     return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled
 
 
 def _solve_group(
-    clouds: Sequence[np.ndarray], neighbors: Sequence[np.ndarray], nonnegative: bool
+    clouds: Sequence[np.ndarray], neighbors: Sequence[np.ndarray]
 ) -> list[WeightMatrix]:
     """The weight matrices of clouds of one shape, each with its (n, k)
     neighbor array, from one stacked solve; every matrix lists its own
@@ -209,7 +225,7 @@ def _solve_group(
     shift = np.repeat(np.arange(0, len(points), n), n)[:, None]
     diffs = points[np.concatenate(neighbors) + shift]
     np.subtract(points[:, None, :], diffs, out=diffs)
-    weights, fallback, unsettled = _local_weights(diffs, k > dim, nonnegative)
+    weights, fallback, unsettled = _local_weights(diffs, k > dim)
 
     def own(rows: np.ndarray, lo: int) -> np.ndarray:
         return rows[(rows >= lo) & (rows < lo + n)] - lo
@@ -220,21 +236,16 @@ def _solve_group(
     ]
 
 
-def reconstruction_weights(
-    points: np.ndarray, k: int, nonnegative: bool = False
-) -> WeightMatrix:
-    """Weights that best reconstruct each point from its k nearest neighbors.
-
-    The local Gram systems G w = 1 of all points are solved together and
-    normalized to sum to one. ``nonnegative=True`` adds the w >= 0
-    constraint, which makes the downstream propagation matrix
-    sub-stochastic and therefore contractive; the protocols solve with it.
+def reconstruction_weights(points: np.ndarray, k: int) -> WeightMatrix:
+    """Nonnegative weights, summing to one, that best reconstruct each point
+    from its k nearest neighbors: min |x_i - sum_j w_j x_j|^2 over the
+    simplex, for the local Gram systems of all points together.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (0 < k < n):
         raise ValueError("require 0 < k < n")
-    return _solve_group([points], [knn_sets(pairwise_euclidean(points), k)], nonnegative)[0]
+    return _solve_group([points], [knn_sets(pairwise_euclidean(points), k)])[0]
 
 
 def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
@@ -245,7 +256,7 @@ def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
 def _weights_by_run(
     clouds: np.ndarray, ks: Sequence[int], tally: Counter
 ) -> Iterator[dict[int, WeightMatrix]]:
-    """Each cloud's nonnegative ``reconstruction_weights`` for every k in
+    """Each cloud's ``reconstruction_weights`` for every k in
     ``ks``, in order. For each k the systems of several clouds are solved at
     once, in groups of at most ``GROUP_ROWS`` rows (one cloud at least).
     ``tally`` gains the ``fallback_rows`` and ``unsettled_rows`` of every
@@ -255,7 +266,7 @@ def _weights_by_run(
     for start in range(0, len(clouds), size):
         group = clouds[start : start + size]
         orders = [knn_sets(pairwise_euclidean(cloud), n - 1) for cloud in group]
-        solved = {k: _solve_group(group, [order[:, :k] for order in orders], True) for k in ks}
+        solved = {k: _solve_group(group, [order[:, :k] for order in orders]) for k in ks}
         for matrices in solved.values():
             for wm in matrices:
                 _count_rows(tally, wm)
@@ -303,10 +314,10 @@ def propagate(
     Labeled rows stay clamped to their one-hot vectors. Unlabeled rows that
     reach a label through nonzero weights solve (I - W_RR) L_R = W_Rl L_l;
     the rest stay exactly zero, as they do when the reconstruction is
-    iterated from zero. When the block W_RR has spectral radius >= 1 (signed
-    weights can do that) the iteration diverges: this is warned about and
-    the reached rows are NaN. A fixed-point residual above ``tol`` is
-    warned about too.
+    iterated from zero. Rows are nonnegative and sum to one, and each
+    reached row has a path of positive weights to a label, so W_RR has
+    spectral radius below one and I - W_RR is nonsingular. A fixed-point
+    residual above ``tol`` is warned about.
     """
     n = weight_matrix.n_points
     labels = np.zeros((n, n_classes))
@@ -323,15 +334,6 @@ def propagate(
     dense = weight_matrix.dense(rows)
     w_rr = dense[:, rows]
     bias = dense @ labels  # unlabeled rows of ``labels`` are still zero
-    # nonnegative rows summing to at most one, each with a path of positive
-    # weights to a label, give W_RR spectral radius below one; other
-    # weights are checked
-    row_weights = weight_matrix.weights[rows]
-    contractive = (row_weights >= 0.0).all() and row_weights.sum(axis=1).max() <= 1.0 + 1e-12
-    if not contractive and np.abs(np.linalg.eigvals(w_rr)).max() >= 1.0:
-        warnings.warn("label propagation diverged (weights are not contractive)")
-        labels[rows] = np.nan
-        return labels
     solved = np.linalg.solve(np.eye(rows.size) - w_rr, bias)
     residual = float(np.abs(w_rr @ solved + bias - solved).max())
     if not residual <= tol:  # NaN too
@@ -380,7 +382,7 @@ def predict(
         points = unfold(points, np.random.default_rng(seed), iters=smacof_iters, tol=smacof_tol)
     elif metric != "euclidean":
         raise ValueError(f"unknown metric: {metric}")
-    wm = reconstruction_weights(points, k, nonnegative=True)
+    wm = reconstruction_weights(points, k)
     if tally is not None:
         _count_rows(tally, wm)
     soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol)
@@ -429,31 +431,34 @@ def sensitivity_sweep(
     k_range: Iterable[int],
     runs: int = 50,
     seed: int = 0,
-    metrics: Sequence[str] = ("euclidean", "geodesic"),
     propagate_tol: float = 1e-9,
     smacof_iters: int = 500,
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> list[SweepRow]:
-    """Prediction-error table over metric x label budget x k x seeded run.
+    """Prediction-error table over metric (``euclidean``, then ``geodesic``)
+    x label budget x k x seeded run.
 
-    Initial labels are balanced draws from the truth; errors are counted on
-    unlabeled entities only. Weights are nonnegative, so every propagation
-    is contractive. Each geodesic run has its own SMACOF start; one
-    ``unfold`` call unfolds every run, and their weights are solved in
-    groups. Every cell is reproducible from ``seed``. ``tally``, when given,
-    gains the ``fallback_rows`` and ``unsettled_rows`` of every weight
-    matrix solved.
+    Initial labels are balanced draws from the truth, ``label_count //
+    n_classes`` per class, so a budget below the class count raises
+    ``ValueError``; errors are counted on unlabeled entities only. Each
+    geodesic run has its own SMACOF start; one ``unfold`` call unfolds every
+    run, and their weights are solved in groups. Every cell is reproducible
+    from ``seed``. ``tally``, when given, gains the ``fallback_rows`` and
+    ``unsettled_rows`` of every weight matrix solved.
     """
     points = np.asarray(points, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
     n = points.shape[0]
     n_classes = int(truth.max()) + 1
+    small = [c for c in label_counts if c < n_classes]
+    if small:
+        raise ValueError(f"label counts {small} draw no labels for {n_classes} classes")
     ks = _usable_ks(k_range, n)
     tally = Counter() if tally is None else tally
     rows: list[SweepRow] = []
     euclid_weights = next(_weights_by_run(points[None], ks, tally))
-    for metric_id, metric in enumerate(metrics):
+    for metric_id, metric in enumerate(("euclidean", "geodesic")):
         rngs = [
             np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
             for run in range(runs)

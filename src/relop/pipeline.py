@@ -420,11 +420,14 @@ def stage_sweep(config: PipelineConfig) -> dict:
     index_of = {name: i for i, name in enumerate(_class_mapping(raw))}
     truth = np.array([index_of[raw[e]] for e in ids], dtype=np.int64)
     ks = _usable_ks(config, len(ids))
+    label_counts = parse_int_list(config.label_counts)
+    if any(count <= truth.max() for count in label_counts):  # draws no labels
+        raise UsageError(f"label_counts entries must be at least the class count {truth.max() + 1}")
     tally = Counter()
     rows = lnp.sensitivity_sweep(
         coords,
         truth,
-        parse_int_list(config.label_counts),
+        label_counts,
         ks,
         runs=config.runs,
         seed=stage_seed(config, "sweep"),
@@ -629,22 +632,13 @@ def _check_weights(config: PipelineConfig) -> tuple[bool, str]:
     rng = np.random.default_rng(stage_seed(config, "verify-weights"))
     worst = 0.0
     worst_sum = 0.0
-    done2 = done3 = 0
-    while done2 < 40 or done3 < 15:
-        k = 2 if done2 < 40 else 3
-        pts = rng.standard_normal((6, k)) * 2.0
-        wm = lnp.reconstruction_weights(pts, k)
-        worst_sum = max(worst_sum, float(np.abs(wm.row_sums() - 1.0).max()))
-        oracle = synth.brute_force_lnp_weights(
-            pts[0], pts[wm.indices[0]], resolution=0.25
-        )
-        if np.any(oracle < -1.9) or np.any(oracle[:2] > 2.9):
-            continue  # optimum touches the oracle's search domain
-        worst = max(worst, float(np.abs(wm.weights[0] - oracle).max()))
-        if k == 2:
-            done2 += 1
-        else:
-            done3 += 1
+    for k, instances in ((2, 40), (3, 15)):
+        for _ in range(instances):
+            pts = rng.standard_normal((6, k)) * 2.0
+            wm = lnp.reconstruction_weights(pts, k)
+            worst_sum = max(worst_sum, float(np.abs(wm.row_sums() - 1.0).max()))
+            oracle = synth.brute_force_lnp_weights(pts[0], pts[wm.indices[0]], resolution=0.25)
+            worst = max(worst, float(np.abs(wm.weights[0] - oracle).max()))
     ok = worst < 1e-6 and worst_sum < 1e-12
     return ok, f"max_abs_err={worst:.3e} max_rowsum_err={worst_sum:.3e}"
 

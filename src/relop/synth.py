@@ -313,58 +313,52 @@ def brute_force_lnp_weights(
     neighbors: np.ndarray,
     resolution: float = 0.05,
 ) -> np.ndarray:
-    """Directly minimize |x - sum_j w_j n_j|^2 subject to sum w = 1.
+    """Directly minimize |x - sum_j w_j n_j|^2 over the simplex w >= 0,
+    sum w = 1.
 
-    k=2 uses golden-section search on the constraint line; k=3 scans a grid
-    over two free parameters in [-2, 3] at ``resolution`` and then refines
-    around the best cell (the objective is convex, so refinement is exact).
+    k=2 uses golden-section search on the edge [0, 1]. k=3 scans a grid over
+    two free parameters in [-2, 3] at ``resolution`` and then refines around
+    the best cell (the objective is convex, so refinement is exact); when
+    that optimum has a negative weight, the constrained optimum lies on an
+    edge of the simplex, and the best of the three edges (each searched as
+    k=2) is returned. A grid optimum on the boundary of [-2, 3]^2 always has
+    a negative weight, so every instance is certified.
     """
     point = np.asarray(point, dtype=float)
     neighbors = np.asarray(neighbors, dtype=float)
     k = neighbors.shape[0]
 
-    def err(w: np.ndarray) -> float:
-        return float(np.sum((point - w @ neighbors) ** 2))
+    def err(w: np.ndarray) -> np.ndarray:
+        return np.sum((point - w @ neighbors) ** 2, axis=-1)
 
     if k == 2:
-        lo, hi = -2.0, 3.0
+        lo, hi = 0.0, 1.0
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1 = err(np.array([x1, 1.0 - x1]))
-        f2 = err(np.array([x2, 1.0 - x2]))
         for _ in range(120):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv_phi * (hi - lo)
-                f1 = err(np.array([x1, 1.0 - x1]))
+            x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+            if err(np.array([x1, 1.0 - x1])) <= err(np.array([x2, 1.0 - x2])):
+                hi = x2
             else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv_phi * (hi - lo)
-                f2 = err(np.array([x2, 1.0 - x2]))
+                lo = x1
         w1 = (lo + hi) / 2.0
         return np.array([w1, 1.0 - w1])
     if k == 3:
-        lo = np.array([-2.0, -2.0])
-        hi = np.array([3.0, 3.0])
-        step = resolution
-        best = None
-        best_w = None
+        lo, hi, step = np.full(2, -2.0), np.full(2, 3.0), resolution
         while True:
-            g0 = np.arange(lo[0], hi[0] + step / 2, step)
-            g1 = np.arange(lo[1], hi[1] + step / 2, step)
-            for a in g0:
-                for b in g1:
-                    w = np.array([a, b, 1.0 - a - b])
-                    e = err(w)
-                    if best is None or e < best:
-                        best = e
-                        best_w = w
+            axes = [np.arange(lo[i], hi[i] + step / 2, step) for i in range(2)]
+            a, b = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+            grid = np.column_stack([a, b, 1.0 - a - b])
+            best_w = grid[np.argmin(err(grid))]
             if step < 1e-9:
-                return best_w
-            lo = best_w[:2] - 2.0 * step
-            hi = best_w[:2] + 2.0 * step
-            step /= 10.0
+                break
+            lo, hi, step = best_w[:2] - 2.0 * step, best_w[:2] + 2.0 * step, step / 10.0
+        if best_w.min() >= 0.0:
+            return best_w
+        edges = []
+        for pair in ([0, 1], [0, 2], [1, 2]):
+            edges.append(np.zeros(3))
+            edges[-1][pair] = brute_force_lnp_weights(point, neighbors[pair])
+        return min(edges, key=err)
     raise ValueError("brute force supports k in {2, 3}")
 
 

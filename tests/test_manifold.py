@@ -434,7 +434,7 @@ class TestSelectK:
             if row["run"] != run:
                 continue
             k = row["k"]
-            wm = reconstruction_weights(unfolded, k, nonnegative=True)
+            wm = reconstruction_weights(unfolded, k)
             d_e = pairwise_euclidean(lle_embedding(wm, 2))
             assert row["np"] == neighborhood_preservation(d_o, d_e, k)
             assert row["st"] == stress_measure(d_o, d_e)

@@ -22,6 +22,7 @@ from relop.pipeline import (
     CHAIN,
     DataError,
     VerificationFailure,
+    _check_weights,
     data_path,
     run_stage,
     stage_verify,
@@ -266,6 +267,19 @@ class TestCli:
         assert main(["plot", "--workdir", str(tmp_path), "--plot_size_channel", "stdev"]) == 1
         assert "plot_size_channel" in capsys.readouterr().err
 
+    def test_zero_lnp_k_is_exit_1(self, tmp_path, capsys):
+        assert main(["predict", "--workdir", str(tmp_path), "--lnp_k", "0"]) == 1
+        assert "lnp_k" in capsys.readouterr().err
+
+    def test_label_budget_below_class_count_is_exit_1(self, chain_dirs, tmp_path, capsys):
+        """One label for two classes draws none; the sweep stops before it
+        writes ``sweep.csv``."""
+        for name in ("points.tsv", "state_truth.csv"):
+            shutil.copy(Path(chain_dirs["a"], name), tmp_path / name)
+        assert main(["sweep", "--workdir", str(tmp_path), "--label_counts", "1,4"]) == 1
+        assert "label_counts" in capsys.readouterr().err
+        assert not Path(tmp_path, "sweep.csv").exists()
+
     def test_data_error_is_exit_2(self, tmp_path):
         assert main(["ingest", "--workdir", str(tmp_path)]) == 2
 
@@ -351,6 +365,13 @@ class TestVerifyStage:
         (Path(tmp_path) / "model.bin").write_bytes(b"RELOPOWE" + b"\x00" * 17)
         args = ["verify", "--workdir", str(tmp_path)]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("seed", [3, 16, 56])
+    def test_weight_check_certifies_hard_seeds(self, seed):
+        """Seeds at which a grid search over signed weights missed the
+        optimum by 5e-6 to 3e-4; over the simplex every instance is certified."""
+        ok, detail = _check_weights(PipelineConfig(master_seed=seed))
+        assert ok, detail
 
 
 class TestArtifactTables:

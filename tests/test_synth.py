@@ -164,6 +164,26 @@ class TestBruteForceWeights:
             w = weights + delta - np.array([0, 0, delta.sum()])
             assert np.sum((point - w @ neighbors) ** 2) >= err - 1e-12
 
+    def test_k2_clamps_to_the_edge(self):
+        """Beyond neighbor 0 the unconstrained optimum is w = (3, -2); over
+        the simplex it is neighbor 0 alone."""
+        neighbors = np.array([[1.0, 0.0], [0.0, 0.0]])
+        weights = brute_force_lnp_weights(np.array([3.0, 0.0]), neighbors)
+        np.testing.assert_allclose(weights, [1.0, 0.0], atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "point, expected",
+        [
+            ([1.0, 1.0, -1.0], [0.5, 0.5, 0.0]),  # optimum on an edge
+            ([10.0, -5.0, -4.0], [1.0, 0.0, 0.0]),  # beyond the [-2, 3] grid
+        ],
+    )
+    def test_k3_projects_onto_the_simplex(self, point, expected):
+        """With the unit vectors as neighbors the weights are the Euclidean
+        projection of the point onto the simplex."""
+        weights = brute_force_lnp_weights(np.array(point), np.eye(3), resolution=0.5)
+        np.testing.assert_allclose(weights, expected, atol=1e-7)
+
     def test_unsupported_k(self):
         with pytest.raises(ValueError):
             brute_force_lnp_weights(np.zeros(2), np.zeros((4, 2)))
