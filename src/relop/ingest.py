@@ -76,29 +76,40 @@ def parse_posts(lines: Iterable[str]) -> tuple[list[Post], int]:
     return posts, skipped
 
 
-def tokenize(text: str) -> list[Token]:
+def _chunk_token(chunk: str) -> Optional[Token]:
+    """The token one whitespace chunk makes, or None when it makes none."""
+    if _URL_RE.match(chunk):
+        return Token(chunk.lower(), "url")
+    chunk = _LEAD_PUNCT_RE.sub("", chunk)
+    if not chunk:
+        return None
+    if chunk[0] in "#@":
+        surface = _TRAIL_PUNCT_RE.sub("", chunk).lower()
+        if len(surface) <= 1:
+            return None
+        return Token(surface, "hashtag" if surface.startswith("#") else "mention")
+    surface = _EDGE_PUNCT_RE.sub("", chunk).lower()
+    return Token(surface, "word") if surface else None
+
+
+def tokenize(text: str, memo: Optional[dict[str, Optional[Token]]] = None) -> list[Token]:
     """Split a post into lowercase tokens classified as word/hashtag/mention/url.
 
     Whitespace split; URLs detected by ``http(s)://`` or ``www.`` prefix;
     '#'/'@' prefixes are preserved while other edge punctuation is stripped.
+    ``memo`` maps chunks already seen to their token (or None); pass one dict
+    to every call over a corpus so each distinct chunk is classified once.
     """
+    if memo is None:
+        memo = {}
     tokens: list[Token] = []
     for chunk in text.split():
-        if _URL_RE.match(chunk):
-            tokens.append(Token(chunk.lower(), "url"))
-            continue
-        chunk = _LEAD_PUNCT_RE.sub("", chunk)
-        if not chunk:
-            continue
-        if chunk[0] in "#@":
-            surface = _TRAIL_PUNCT_RE.sub("", chunk).lower()
-            kind = "hashtag" if surface.startswith("#") else "mention"
-            if len(surface) > 1:
-                tokens.append(Token(surface, kind))
-        else:
-            surface = _EDGE_PUNCT_RE.sub("", chunk).lower()
-            if surface:
-                tokens.append(Token(surface, "word"))
+        try:
+            token = memo[chunk]
+        except KeyError:
+            token = memo[chunk] = _chunk_token(chunk)
+        if token is not None:
+            tokens.append(token)
     return tokens
 
 
@@ -107,12 +118,14 @@ def content_tokens(tokens: Iterable[Token]) -> list[str]:
     return [t.surface for t in tokens if t.kind in ("word", "hashtag")]
 
 
-def _matches_keyword(token: Token, keyword: str) -> bool:
-    # words must equal the keyword; hashtags/mentions only need to contain it
-    if token.kind == "word":
-        return token.surface == keyword
-    if token.kind in ("hashtag", "mention"):
-        return keyword in token.surface
+def _mentions(tokens: list[Token], group: list[str]) -> bool:
+    # words must equal a keyword; hashtags/mentions only need to contain one
+    for t in tokens:
+        if t.kind == "word":
+            if t.surface in group:
+                return True
+        elif t.kind != "url" and any(kw in t.surface for kw in group):
+            return True
     return False
 
 
@@ -122,9 +135,7 @@ def filter_relevant(tokens: list[Token], group_a: list[str], group_b: list[str])
     Matching is at token boundaries: a word token must equal the keyword,
     while hashtag/mention tokens match on containment.
     """
-    return any(_matches_keyword(t, kw) for t in tokens for kw in group_a) and any(
-        _matches_keyword(t, kw) for t in tokens for kw in group_b
-    )
+    return _mentions(tokens, group_a) and _mentions(tokens, group_b)
 
 
 def filter_bots(post: Post, official_clients: set[str]) -> bool:
@@ -146,6 +157,7 @@ class Gazetteer:
             raise ValueError(f"gazetteer contains unknown region codes: {sorted(unknown)}")
         self.entries = entries
         self.max_words = max((name.count(" ") + 1 for name in entries), default=1)
+        self._resolved: dict[str, Optional[str]] = {}
 
     @classmethod
     def from_csv(cls, path) -> "Gazetteer":
@@ -158,6 +170,14 @@ class Gazetteer:
 
     def lookup(self, name: str) -> Optional[str]:
         return self.entries.get(_normalize_place(name))
+
+    def resolve(self, field: str) -> Optional[str]:
+        """The region code of a geo or profile field, computed once per distinct field."""
+        try:
+            return self._resolved[field]
+        except KeyError:
+            code = self._resolved[field] = _resolve_field(field, self)
+            return code
 
 
 def _normalize_place(name: str) -> str:
@@ -196,11 +216,11 @@ def infer_state(post: Post, gazetteer: Gazetteer, tokens: list[Token]) -> Option
     """Infer a region code from the post, trying geo tag, then profile, then
     the word tokens of its text (``tokens``, as ``tokenize(post.text)`` makes them)."""
     if post.geo_field:
-        code = _resolve_field(post.geo_field, gazetteer)
+        code = gazetteer.resolve(post.geo_field)
         if code is not None:
             return code
     if post.profile_location:
-        code = _resolve_field(post.profile_location, gazetteer)
+        code = gazetteer.resolve(post.profile_location)
         if code is not None:
             return code
     words = [t.surface for t in tokens if t.kind == "word"]

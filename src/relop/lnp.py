@@ -413,11 +413,12 @@ def _draw_balanced_labels(
     n_classes: int,
     rng: np.random.Generator,
 ) -> dict[int, int]:
-    per_class = label_count // n_classes
+    # the first label_count % n_classes classes take one label more
+    per_class, extra = divmod(label_count, n_classes)
     initial: dict[int, int] = {}
     for c in range(n_classes):
         members = np.where(truth == c)[0]
-        take = min(per_class, members.size)
+        take = min(per_class + (c < extra), members.size)
         picked = rng.choice(members, size=take, replace=False)
         for i in picked:
             initial[int(i)] = c
@@ -440,10 +441,12 @@ def sensitivity_sweep(
     x label budget x k x seeded run.
 
     Initial labels are balanced draws from the truth, ``label_count //
-    n_classes`` per class, so a budget below the class count raises
-    ``ValueError``; errors are counted on unlabeled entities only. Each
-    geodesic run has its own SMACOF start; one ``unfold`` call unfolds every
-    run, and their weights are solved in groups. Every cell is reproducible
+    n_classes`` per class plus one for each of the first ``label_count %
+    n_classes`` classes (each capped at its size), so a budget below the
+    class count raises ``ValueError``; errors are counted on unlabeled
+    entities only. Each geodesic run has its own SMACOF start; one
+    ``unfold`` call unfolds every run, and their weights are solved in
+    groups. Every cell is reproducible
     from ``seed``. ``tally``, when given, gains the ``fallback_rows`` and
     ``unsettled_rows`` of every weight matrix solved.
     """

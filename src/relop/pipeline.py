@@ -7,10 +7,11 @@ import hashlib
 import importlib.resources
 import json
 import os
+import resource
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,14 +110,13 @@ def _read_entity_csv(path: Path) -> dict[str, str]:
         return {row[0]: row[1] for row in reader if len(row) >= 2 and row[0]}
 
 
-def _read_clean_corpus(path: Path) -> list[dict]:
-    records = []
+def _read_clean_corpus(path: Path) -> Iterator[dict]:
+    """The records of ``clean.jsonl``, read one line at a time."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(json.loads(line))
-    return records
+                yield json.loads(line)
 
 
 def _write_vocab(path: Path, vocab: Vocabulary) -> None:
@@ -217,9 +217,10 @@ def stage_ingest(config: PipelineConfig) -> dict:
     with open(input_path(config, "corpus.jsonl"), encoding="utf-8") as fh:
         posts, skipped = parse_posts(fh)
     n_relevant = n_official = n_state = 0
+    memo: dict = {}  # chunk -> token, shared by every post of this stage only
     with open(_work(config, "clean.jsonl"), "w", encoding="utf-8") as fh:
         for post in posts:
-            tokens = tokenize(post.text)
+            tokens = tokenize(post.text, memo)
             if not filter_relevant(tokens, group_a, group_b):
                 continue
             n_relevant += 1
@@ -242,6 +243,7 @@ def stage_ingest(config: PipelineConfig) -> dict:
         "official": n_official,
         "official_fraction": round(n_official / n_relevant if n_relevant else 0.0, 6),
         "with_state": n_state,
+        "distinct_chunks": len(memo),
     }
 
 
@@ -269,7 +271,7 @@ def stage_hashtag_net(config: PipelineConfig) -> dict:
 def stage_label_tweets(config: PipelineConfig) -> dict:
     records = _read_clean_corpus(input_path(config, "clean.jsonl"))
     labels, _ = ht.read_label_map(input_path(config, "hashtag_labels.csv"))
-    training = ht.label_tweets([r["tokens"] for r in records], labels)
+    training = ht.label_tweets((r["tokens"] for r in records), labels)
     ht.write_training_set(_work(config, "training_set.tsv"), training)
     return {"examples": len(training.examples), **training.category_counts}
 
@@ -715,6 +717,11 @@ def stage_verify(config: PipelineConfig) -> dict:
 # stage registry and runner
 
 
+def _peak_rss_mib() -> float:
+    """The process's peak resident set so far, in MiB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)  # KiB on Linux
+
+
 class Stage(NamedTuple):
     fn: Callable[[PipelineConfig], dict]
     inputs: tuple[str, ...]  # required; a missing one fails the stage before it runs
@@ -807,6 +814,7 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
             "config_hash": config_hash(config),
             "seed": stage_seed(config, name),
             "duration_s": round(duration, 3),
+            "peak_rss_mib": _peak_rss_mib(),
             "counts": counts,
             "inputs": {str(p): _sha256(p) for p in inputs},
             "outputs": {str(p): _sha256(p) for p in outputs if p.exists()},

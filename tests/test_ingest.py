@@ -15,9 +15,11 @@ from relop.ingest import (
     filter_relevant,
     infer_state,
     parse_posts,
+    _resolve_field,
     tokenize,
 )
 from relop.pipeline import data_path
+from relop.synth import SynthCorpusConfig, gen_opinion_corpus
 
 GROUP_A = ["trump", "realdonaldtrump", "donaldtrump"]
 GROUP_B = ["hillary", "clinton", "hillaryclinton"]
@@ -107,6 +109,27 @@ class TestTokenize:
         text = "Some #Tweet with @user and http://t.co/xyz mixed in"
         assert tokenize(text) == tokenize(text)
 
+    def test_shared_memo_matches_a_fresh_tokenize_per_post(self):
+        """One memo over a whole corpus, as ``relop ingest`` keeps it, gives
+        each post the tokens a memo-free call gives it."""
+        hand_made = [
+            "#", "@", "...", "www.X.com", "Trump!", "#MAGA,", "@HillaryClinton",
+            "Zürich", "ÉLECTION", "naïve,", "投票", "#Ñandú", "'#tag',", "(@someone)",
+            "http://t.co/xyz", "plain-word.", "!!", "#!", "@.",
+        ]
+        corpus = gen_opinion_corpus(SynthCorpusConfig(tweets_per_class=100, seed=5))
+        rng = np.random.default_rng(6)
+        texts = [p.text for p in corpus.posts]
+        for text in texts[:100]:
+            extra = [hand_made[i] for i in rng.integers(0, len(hand_made), 4)]
+            texts.append(" ".join([text, *extra]))
+        texts.append(" ".join(hand_made))
+        memo = {}
+        for text in texts:
+            assert tokenize(text, memo) == tokenize(text)
+        chunks = {chunk for text in texts for chunk in text.split()}
+        assert set(memo) == chunks
+
 
 def relevant(text):
     return filter_relevant(tokenize(text), GROUP_A, GROUP_B)
@@ -125,6 +148,10 @@ class TestFilterRelevant:
     def test_word_boundary_blocks_substrings(self):
         # "trumpet" is not a mention of the candidate
         assert not relevant("a trumpet for hillary")
+
+    def test_urls_never_match(self):
+        assert not relevant("http://trump.com hillary")
+        assert relevant("http://trump.com hillary @trump")
 
     def test_against_brute_force_scanner(self):
         """Derived oracle: independent regex scanner over a 100-post fixture."""
@@ -201,6 +228,14 @@ class TestInferState:
     def test_rejects_unknown_codes(self):
         with pytest.raises(ValueError):
             Gazetteer({"atlantis": "ZZ"})
+
+    def test_resolve_equals_resolve_field_on_every_call(self, gazetteer):
+        fresh = Gazetteer.from_csv(data_path("gazetteer.csv"))
+        fields = ["Charlotte, NC", "NYC", "Mars Base", "??", "nowhere", "atlantis"]
+        fields += list(gazetteer.entries)
+        for _ in range(2):  # the first call computes, the second reads the memo
+            for field in fields:
+                assert fresh.resolve(field) == _resolve_field(field, gazetteer)
 
 
 class TestVocabulary:

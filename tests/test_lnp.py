@@ -427,6 +427,22 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError, match="draw no labels"):
             sensitivity_sweep(moons.points, moons.classes, [1, 4], [3], runs=1)
 
+    def test_budget_off_a_multiple_of_the_class_count_draws_in_full(self):
+        """The remainder goes one label each to the first classes in index
+        order: 5 labels for 2 classes draw 5, and 8 for 3 draw 8; a class
+        gives no more labels than it has members."""
+        cases = (
+            (np.arange(20) % 2, 5, [3, 2]),
+            (np.arange(20) % 3, 8, [3, 3, 2]),
+            (np.array([0] + [1] * 10), 5, [1, 2]),
+        )
+        for truth, budget, per_class in cases:
+            drawn = lnp._draw_balanced_labels(
+                truth, budget, len(per_class), np.random.default_rng(0)
+            )
+            assert all(truth[i] == c for i, c in drawn.items())
+            assert np.bincount(list(drawn.values())).tolist() == per_class
+
     def test_geodesic_helps_at_larger_k(self, moons):
         """Lighter version of the acceptance protocol: for some k in the
         upper half of the sweep the geodesic variant does no worse."""

@@ -312,14 +312,26 @@ class TestIngestStage:
         for module in (pipeline, ingest):
             real = module.tokenize
 
-            def counted(text, real=real):
+            def counted(text, *args, real=real):
                 calls.append(text)
-                return real(text)
+                return real(text, *args)
 
             monkeypatch.setattr(module, "tokenize", counted)
         counts = run_stage("ingest", config)
         assert counts["parsed"] > 0
         assert len(calls) == counts["parsed"]
+
+    def test_distinct_chunks_counts_each_distinct_chunk_once(self, tmp_path):
+        config = small_config(tmp_path)
+        run_stage("synth", config)
+        counts = run_stage("ingest", config)
+        texts = [
+            json.loads(line)["text"]
+            for line in Path(tmp_path, "corpus.jsonl").read_text().splitlines()
+        ]
+        chunks = [chunk for text in texts for chunk in text.split()]
+        assert 0 < counts["distinct_chunks"] == len(set(chunks)) <= len(chunks)
+        assert _manifest(tmp_path)[-1]["counts"]["distinct_chunks"] == counts["distinct_chunks"]
 
     def test_official_fraction_is_official_over_relevant(self, tmp_path):
         config = small_config(tmp_path)
@@ -435,6 +447,17 @@ def _manifest(workdir) -> list[dict]:
 
 
 class TestManifests:
+    def test_records_carry_the_process_peak_rss_so_far(self, tmp_path):
+        import resource
+
+        config = small_config(tmp_path)
+        run_stage("synth", config)
+        run_stage("ingest", config)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        peaks = [record["peak_rss_mib"] for record in _manifest(tmp_path)]
+        assert len(peaks) == 2
+        assert 0 < peaks[0] <= peaks[1] <= after + 0.05
+
     def test_manifest_records_every_file_a_stage_opens(self, tmp_path, monkeypatch):
         """Every file a stage reads is a recorded input and every file it
         writes a recorded output; only the manifest itself is exempt."""
