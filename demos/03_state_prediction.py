@@ -54,9 +54,7 @@ for side in (0, 1):
         labeled[states.index(state)] = side
 print("initial labels:", {states[i]: f"side{c}" for i, c in labeled.items()})
 
-classes, scores = predict(
-    points, labeled, 2, k=min(8, len(states) - 1), metric="geodesic", seed=0
-)
+classes, scores = predict(points, labeled, 2, k=min(8, len(states) - 1), metric="geodesic")
 predictions = {s: f"side{int(c)}" for s, c in zip(states, classes)}
 errors, misses = evaluate_fixture(predictions, truth)
 print(f"prediction errors: {errors} {misses if misses else ''}")

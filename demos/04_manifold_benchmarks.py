@@ -46,5 +46,5 @@ for metric in ("euclidean", "geodesic"):
     print(f"  {metric:10s} median errors for k in [13,25]: {tail}")
 
 # each k is judged by the embedding its own weights induce
-k_star, _ = select_k(moons.points, range(2, 26), runs=15, seed=4)
+k_star, _ = select_k(moons.points, range(2, 26))
 print(f"\nPNE-selected neighborhood size: k* = {k_star}")

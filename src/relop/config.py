@@ -44,7 +44,7 @@ class PipelineConfig:
     lnp_k: int = 18
     lnp_metric: str = "geodesic"
     propagate_tol: float = 1e-9
-    smacof_iters: int = 500
+    smacof_iters: int = 50_000
     smacof_tol: float = 1e-9
     # sweep / metrics
     k_min: int = 2

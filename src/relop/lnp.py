@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,9 +21,6 @@ FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
 MAX_PIVOT_ROUNDS = 200
 # a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
 DUAL_TOL = 1e-10
-# the seeded runs' weight systems are solved together in stacks of at most
-# this many rows: larger stacks save little time and cost peak memory
-GROUP_ROWS = 128
 
 
 @dataclass
@@ -212,40 +208,18 @@ def _local_weights(
     return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled
 
 
-def _solve_group(
-    clouds: Sequence[np.ndarray], neighbors: Sequence[np.ndarray]
-) -> list[WeightMatrix]:
-    """The weight matrices of clouds of one shape, each with its (n, k)
-    neighbor array, from one stacked solve; every matrix lists its own
-    fallback and unsettled rows."""
-    n, dim = clouds[0].shape
-    k = neighbors[0].shape[1]
-    points = np.concatenate(clouds)
-    # each cloud's neighbor indices, shifted to its rows of ``points``
-    shift = np.repeat(np.arange(0, len(points), n), n)[:, None]
-    diffs = points[np.concatenate(neighbors) + shift]
-    np.subtract(points[:, None, :], diffs, out=diffs)
-    weights, fallback, unsettled = _local_weights(diffs, k > dim)
-
-    def own(rows: np.ndarray, lo: int) -> np.ndarray:
-        return rows[(rows >= lo) & (rows < lo + n)] - lo
-
-    return [
-        WeightMatrix(nb, weights[lo : lo + n], own(fallback, lo), own(unsettled, lo))
-        for lo, nb in zip(range(0, len(clouds) * n, n), neighbors)
-    ]
-
-
 def reconstruction_weights(points: np.ndarray, k: int) -> WeightMatrix:
     """Nonnegative weights, summing to one, that best reconstruct each point
     from its k nearest neighbors: min |x_i - sum_j w_j x_j|^2 over the
     simplex, for the local Gram systems of all points together.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
+    n, dim = points.shape
     if not (0 < k < n):
         raise ValueError("require 0 < k < n")
-    return _solve_group([points], [knn_sets(pairwise_euclidean(points), k)])[0]
+    neighbors = knn_sets(pairwise_euclidean(points), k)
+    weights, fallback, unsettled = _local_weights(points[:, None, :] - points[neighbors], k > dim)
+    return WeightMatrix(neighbors, weights, fallback, unsettled)
 
 
 def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
@@ -253,42 +227,33 @@ def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
     tally["unsettled_rows"] += wm.unsettled_rows.size
 
 
-def _weights_by_run(
-    clouds: np.ndarray, ks: Sequence[int], tally: Counter
-) -> Iterator[dict[int, WeightMatrix]]:
-    """Each cloud's ``reconstruction_weights`` for every k in
-    ``ks``, in order. For each k the systems of several clouds are solved at
-    once, in groups of at most ``GROUP_ROWS`` rows (one cloud at least).
-    ``tally`` gains the ``fallback_rows`` and ``unsettled_rows`` of every
-    matrix."""
-    n = clouds.shape[1]
-    size = max(1, GROUP_ROWS // n)
-    for start in range(0, len(clouds), size):
-        group = clouds[start : start + size]
-        orders = [knn_sets(pairwise_euclidean(cloud), n - 1) for cloud in group]
-        solved = {k: _solve_group(group, [order[:, :k] for order in orders]) for k in ks}
-        for matrices in solved.values():
-            for wm in matrices:
-                _count_rows(tally, wm)
-        for run in range(len(group)):
-            yield {k: solved[k][run] for k in ks}
-
-
 def unfold(
-    points: np.ndarray,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    iters: int = 500,
-    tol: float = 1e-9,
-) -> np.ndarray:
+    points: np.ndarray, iters: int = 50_000, tol: float = 1e-9
+) -> tuple[np.ndarray, int, str]:
     """Flatten the point cloud by embedding its geodesic distances via
-    stress-majorization MDS at the original dimensionality.
+    stress-majorization MDS at the original dimensionality d.
 
-    As with ``smacof_mds``, one Generator gives one (n, d) unfolding, and a
-    sequence of Generators a (runs, n, d) stack of them, iterated together;
-    each run's coordinates are the bits its Generator gives alone."""
+    SMACOF starts from the Torgerson configuration (``classical_mds``) in
+    m = min(d, n - 1) axes, so the unfolding is deterministic; its update
+    keeps a zero column zero, so it runs in those m axes, and the result is
+    zero-padded to d. Returns (coords, iterations, stop): the accepted
+    SMACOF steps and why they ended, ``"tol"`` (a step improved the stress
+    by less than ``tol`` relative), ``"cap"`` (``iters`` steps) or
+    ``"rejected"`` (a step failed to improve at numerical precision)."""
     points = np.asarray(points, dtype=float)
-    coords, _ = smacof_mds(geodesic_distances(points), points.shape[1], rng, iters=iters, tol=tol)
-    return coords
+    n, d = points.shape
+    m = min(d, n - 1)
+    dist = geodesic_distances(points)
+    start = mf.classical_mds(dist, m, pad_warning=False)
+    coords, history = smacof_mds(dist, m, None, iters=iters, tol=tol, init=start)
+    steps = len(history) - 1
+    if steps and history[-2] - history[-1] < tol * max(history[-2], 1e-300):
+        stop = "tol"
+    elif steps < iters:
+        stop = "rejected"
+    else:
+        stop = "cap"
+    return np.pad(coords, ((0, 0), (0, d - m))), steps, stop
 
 
 def _reaching_rows(weight_matrix: WeightMatrix, labeled: np.ndarray) -> np.ndarray:
@@ -365,26 +330,27 @@ def predict(
     n_classes: int,
     k: int,
     metric: str = "euclidean",
-    seed: int = 0,
     propagate_tol: float = 1e-9,
-    smacof_iters: int = 500,
+    smacof_iters: int = 50_000,
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full propagation pipeline; returns (classes, soft scores).
 
-    The geodesic variant first unfolds the cloud from a SMACOF start drawn
-    from ``seed``, then finds neighbors and nonnegative weights on the
-    unfolded coordinates. ``tally`` is as in ``sensitivity_sweep``.
+    The geodesic variant first unfolds the cloud (``unfold``), then finds
+    neighbors and nonnegative weights on the unfolded coordinates.
+    ``tally`` is as in ``sensitivity_sweep``.
     """
     points = np.asarray(points, dtype=float)
+    tally = Counter() if tally is None else tally
     if metric == "geodesic":
-        points = unfold(points, np.random.default_rng(seed), iters=smacof_iters, tol=smacof_tol)
+        points, tally["unfold_iters"], tally["unfold_stop"] = unfold(
+            points, smacof_iters, smacof_tol
+        )
     elif metric != "euclidean":
         raise ValueError(f"unknown metric: {metric}")
     wm = reconstruction_weights(points, k)
-    if tally is not None:
-        _count_rows(tally, wm)
+    _count_rows(tally, wm)
     soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol)
     return np.argmax(soft, axis=1), soft
 
@@ -433,7 +399,7 @@ def sensitivity_sweep(
     runs: int = 50,
     seed: int = 0,
     propagate_tol: float = 1e-9,
-    smacof_iters: int = 500,
+    smacof_iters: int = 50_000,
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> list[SweepRow]:
@@ -444,11 +410,12 @@ def sensitivity_sweep(
     n_classes`` per class plus one for each of the first ``label_count %
     n_classes`` classes (each capped at its size), so a budget below the
     class count raises ``ValueError``; errors are counted on unlabeled
-    entities only. Each geodesic run has its own SMACOF start; one
-    ``unfold`` call unfolds every run, and their weights are solved in
-    groups. Every cell is reproducible
-    from ``seed``. ``tally``, when given, gains the ``fallback_rows`` and
-    ``unsettled_rows`` of every weight matrix solved.
+    entities only. The geodesic metric works on one ``unfold`` of the cloud,
+    and each metric's weights are solved once per k, so the runs differ
+    only in their label draws. Every cell is reproducible from ``seed``.
+    ``tally``, when given, gains the ``fallback_rows`` and
+    ``unsettled_rows`` of every weight matrix solved, and the unfold's
+    ``unfold_iters`` and ``unfold_stop``.
     """
     points = np.asarray(points, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
@@ -459,19 +426,16 @@ def sensitivity_sweep(
         raise ValueError(f"label counts {small} draw no labels for {n_classes} classes")
     ks = _usable_ks(k_range, n)
     tally = Counter() if tally is None else tally
+    unfolded, tally["unfold_iters"], tally["unfold_stop"] = unfold(
+        points, smacof_iters, smacof_tol
+    )
     rows: list[SweepRow] = []
-    euclid_weights = next(_weights_by_run(points[None], ks, tally))
-    for metric_id, metric in enumerate(("euclidean", "geodesic")):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
-            for run in range(runs)
-        ]
-        if metric == "geodesic":
-            unfolded = unfold(points, rngs, iters=smacof_iters, tol=smacof_tol)
-            weights_by_run = _weights_by_run(unfolded, ks, tally)
-        else:
-            weights_by_run = itertools.repeat(euclid_weights, runs)
-        for run, (rng, weights_by_k) in enumerate(zip(rngs, weights_by_run)):
+    for metric_id, (metric, cloud) in enumerate((("euclidean", points), ("geodesic", unfolded))):
+        weights_by_k = {k: reconstruction_weights(cloud, k) for k in ks}
+        for wm in weights_by_k.values():
+            _count_rows(tally, wm)
+        for run in range(runs):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
             for label_count in sorted(label_counts):
                 initial = _draw_balanced_labels(truth, label_count, n_classes, rng)
                 unlabeled = np.array(
@@ -489,40 +453,37 @@ def sensitivity_sweep(
 def select_k(
     points: np.ndarray,
     k_range: Iterable[int],
-    runs: int = 50,
-    seed: int = 0,
-    smacof_iters: int = 500,
+    smacof_iters: int = 50_000,
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> tuple[int, list[dict]]:
-    """The k of least median PNE over seeded runs (smallest k on ties), and
-    the per-run table of ``np``, ``st`` and ``pne`` rows.
+    """The k of least PNE (smallest k on ties), and the table of one ``k``,
+    ``np``, ``st`` and ``pne`` row per k.
 
-    Each run unfolds the cloud once, as the sweep does (one ``unfold`` call
-    for every run, with weights solved in groups); each k is judged by the
-    2-D LLE embedding of its own weights on the unfolded points. ``tally``
-    is as in ``sensitivity_sweep``."""
+    The cloud is unfolded once, as in the sweep; each k is judged by the 2-D
+    LLE embedding of its own weights on the unfolded points. ``tally`` is as
+    in ``sensitivity_sweep``."""
     points = np.asarray(points, dtype=float)
     ks = _usable_ks(k_range, points.shape[0])
     d_orig = pairwise_euclidean(points)
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(runs)]
-    unfolded = unfold(points, rngs, iters=smacof_iters, tol=smacof_tol)
     tally = Counter() if tally is None else tally
+    unfolded, tally["unfold_iters"], tally["unfold_stop"] = unfold(
+        points, smacof_iters, smacof_tol
+    )
     rows: list[dict] = []
-    for run, weights_by_k in enumerate(_weights_by_run(unfolded, ks, tally)):
-        for k in ks:
-            d_embed = pairwise_euclidean(lle_embedding(weights_by_k[k], 2))
-            rows.append(
-                {
-                    "k": k,
-                    "run": run,
-                    "np": mf.neighborhood_preservation(d_orig, d_embed, k),
-                    "st": mf.stress_measure(d_orig, d_embed),
-                    "pne": mf.pne(d_orig, d_embed, k),
-                }
-            )
-    medians = [np.median([r["pne"] for r in rows if r["k"] == k]) for k in ks]
-    return ks[int(np.argmin(medians))], rows
+    for k in ks:
+        wm = reconstruction_weights(unfolded, k)
+        _count_rows(tally, wm)
+        d_embed = pairwise_euclidean(lle_embedding(wm, 2))
+        rows.append(
+            {
+                "k": k,
+                "np": mf.neighborhood_preservation(d_orig, d_embed, k),
+                "st": mf.stress_measure(d_orig, d_embed),
+                "pne": mf.pne(d_orig, d_embed, k),
+            }
+        )
+    return min(rows, key=lambda row: row["pne"])["k"], rows
 
 
 def median_band(values) -> tuple[float, float, float]:

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-# runs majorized together hold at most this many distances (runs x n x n);
-# larger stacks fall out of the CPU cache and iterate more slowly
-STACK_ENTRIES = 2**15
 
 
 def pairwise_euclidean(points: np.ndarray) -> np.ndarray:
@@ -57,13 +53,14 @@ def geodesic_distances(points: np.ndarray, return_neighbor_size: bool = False):
     return out
 
 
-def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
+def classical_mds(dist: np.ndarray, dim: int, pad_warning: bool = True) -> np.ndarray:
     """Torgerson MDS: double-center the squared distances and eigendecompose.
 
     Coordinates use the top ``dim`` nonnegative eigenpairs; missing positive
-    directions are zero-padded with a warning. Axis signs are fixed by making
-    each axis's largest-magnitude coordinate positive, so the output is fully
-    deterministic.
+    directions are zero-padded, with a warning unless ``pad_warning`` is
+    false (non-Euclidean distances lack some by nature). Axis signs are
+    fixed by making each axis's largest-magnitude coordinate positive, so
+    the output is fully deterministic.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
@@ -84,7 +81,7 @@ def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
     cutoff = max(float(evals[0]), 0.0) * 1e-12
     positive = int((evals > cutoff).sum())
     take = min(dim, positive)
-    if take < dim:
+    if take < dim and pad_warning:
         warnings.warn(
             f"only {positive} positive eigenvalues; padding {dim - take} zero axes"
         )
@@ -99,114 +96,53 @@ def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-def _raw_stress(dist: np.ndarray, d_coords: np.ndarray) -> np.ndarray:
-    """Raw stress of each configuration of a (runs, n, n) distance stack."""
-    return np.sum(np.triu(dist - d_coords, 1) ** 2, axis=(1, 2))
-
-
-def _distances(coords: np.ndarray) -> np.ndarray:
-    """The (runs, n, n) Euclidean distances of a (runs, n, dim) stack."""
-    out = np.empty((coords.shape[0], coords.shape[1], coords.shape[1]))
-    for run, run_coords in enumerate(coords):
-        cdist(run_coords, run_coords, out=out[run])
-    return out
-
-
-def _majorize(
-    dist: np.ndarray,
-    coords: np.ndarray,
-    iters: int,
-    tol: float,
-    final: np.ndarray,
-    history: np.ndarray,
-) -> int:
-    """Iterate a (runs, n, dim) stack of starts together into ``final``,
-    writing each run's stresses down its column of ``history`` (which holds
-    NaN); returns the longest run's step count."""
-    n = dist.shape[0]
-    d_now = _distances(coords)
-    history[0] = _raw_stress(dist, d_now)
-    longest = 0
-    live = np.arange(coords.shape[0])  # the run of each configuration still iterating
-    for step in range(1, iters + 1):
-        if live.size == 0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(d_now > 0.0, dist / d_now, 0.0)
-        np.negative(b, out=b)
-        diagonal = b.reshape(live.size, -1)[:, :: n + 1]
-        diagonal[:] = 0.0
-        diagonal[:] = -b.sum(axis=2)
-        new_coords = (b @ coords) / n
-        d_new = _distances(new_coords)
-        stress = _raw_stress(dist, d_new)
-        last = history[step - 1, live]
-        # a step that does not improve is at the numerical floor: it is
-        # rejected, and the run stops with its better configuration
-        rejected = stress > last
-        done = rejected | (last - stress < tol * np.maximum(last, 1e-300))
-        new_coords[rejected] = coords[rejected]
-        history[step, live[~rejected]] = stress[~rejected]
-        if not rejected.all():
-            longest = step
-        coords, d_now = new_coords, d_new
-        if done.any():
-            # finished runs leave the stack once, not on every iteration
-            final[live[done]] = coords[done]
-            coords, d_now, live = coords[~done], d_now[~done], live[~done]
-    final[live] = coords
-    return longest
-
-
 def smacof_mds(
     dist: np.ndarray,
     dim: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: Optional[np.random.Generator],
     iters: int = 500,
     tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stress majorization from seeded random starts, one per Generator.
+    """Stress majorization from ``init``, or else from a random start drawn
+    from ``rng``; returns (coords, stress_history).
 
-    With one Generator returns (coords, stress_history). Majorization
-    guarantees the raw stress never increases; an update that fails to
-    improve at numerical precision is rejected and iteration stops, so the
-    recorded history is monotone. Each configuration's distances are
-    computed once: the accepted update's matrix serves the next iteration.
-
-    With a sequence of Generators each start is drawn from its own
-    generator, in order, and the runs iterate together, in stacks of at
-    most ``STACK_ENTRIES`` distances: every run stops, with the same bits,
-    where a call with its Generator alone stops. Returns (runs, n, dim)
-    coordinates and a (steps + 1, runs) history, where steps is the longest
-    run's step count; column r is run r's history followed by NaN once it
-    stopped. ``init`` gives the start(s) in the shape of the coordinates
-    returned.
+    Majorization guarantees the raw stress never increases; an update that
+    fails to improve at numerical precision is rejected and iteration stops,
+    so the recorded history is monotone. Iteration also stops once a step
+    improves the stress by less than ``tol`` relative, or after ``iters``
+    steps. Each configuration's distances are computed once: the accepted
+    update's matrix serves the next iteration.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    runs = len(rngs)
     if init is not None:
-        coords = np.array(init, dtype=float).reshape(runs, n, -1)
+        coords = np.array(init, dtype=float)
     else:
-        scale = float(dist.max()) or 1.0
-        coords = np.empty((runs, n, dim))
-        for run_coords, generator in zip(coords, rngs):
-            run_coords[:] = generator.standard_normal((n, dim)) * (scale / 4.0)
-    final = np.empty_like(coords)
-    history = np.full((iters + 1, runs), np.nan)
-    size = max(1, STACK_ENTRIES // (n * n))
-    longest = 0
-    for start in range(0, runs, size):
-        stack = slice(start, start + size)
-        steps = _majorize(dist, coords[stack], iters, tol, final[stack], history[:, stack])
-        longest = max(longest, steps)
-    history = history[: longest + 1]
-    if single:
-        return final[0], history[:, 0].copy()
-    return final, history
+        coords = rng.standard_normal((n, dim)) * ((float(dist.max()) or 1.0) / 4.0)
+    lower = np.tri(n, dtype=bool)  # the stress sums the pairs above the diagonal
+
+    def raw_stress(d_coords: np.ndarray) -> float:
+        return float(np.sum(np.where(lower, 0.0, dist - d_coords) ** 2))
+
+    d_now = cdist(coords, coords)
+    history = [raw_stress(d_now)]
+    for _ in range(iters):
+        b = np.divide(dist, d_now, out=np.zeros((n, n)), where=d_now > 0.0)
+        np.negative(b, out=b)
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        new_coords = (b @ coords) / n
+        d_new = cdist(new_coords, new_coords)
+        stress = raw_stress(d_new)
+        last = history[-1]
+        if stress > last:
+            break  # at the numerical floor: keep the better configuration
+        coords, d_now = new_coords, d_new
+        history.append(stress)
+        if last - stress < tol * max(last, 1e-300):
+            break
+    return coords, np.array(history)
 
 
 def knn_sets(dist: np.ndarray, k: int) -> np.ndarray:

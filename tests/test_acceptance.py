@@ -409,7 +409,7 @@ def test_11_pne_selection(moons, sweep_rows):
     """The PNE-selected k lies in the k-range whose pooled geodesic median
     prediction error is within 2 of the global minimum; each k is judged by
     the embedding its own weight matrix induces."""
-    k_star, _ = select_k(moons.points, K_RANGE, runs=50, seed=PROTOCOL_SEED)
+    k_star, _ = select_k(moons.points, K_RANGE)
 
     pooled: dict[int, list[int]] = {}
     for row in sweep_rows:

@@ -113,33 +113,6 @@ class TestReconstructionWeights:
         assert wm.weights[0][0] == pytest.approx(1.0, abs=1e-6)
         assert wm.weights[1][0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_grouped_weights_match_per_cloud(self):
-        """Runs solved together, in groups of at most ``GROUP_ROWS`` rows,
-        get each cloud's own ``reconstruction_weights``."""
-        rng = np.random.default_rng(14)
-        for n, dim, ks in ((24, 50, range(2, 24)), (30, 2, range(2, 13))):
-            clouds = np.stack([rng.standard_normal((n, dim)) for _ in range(7)])
-            assert len(clouds) * n > lnp.GROUP_ROWS  # more than one group
-            for run, weights_by_k in enumerate(lnp._weights_by_run(clouds, ks, Counter())):
-                for k in ks:
-                    ref = reconstruction_weights(clouds[run], k)
-                    got = weights_by_k[k]
-                    np.testing.assert_array_equal(got.indices, ref.indices)
-                    np.testing.assert_allclose(got.weights, ref.weights, rtol=0, atol=1e-13)
-
-    def test_fallback_rows_map_to_their_run(self):
-        """Only the middle run of a group plants coincident points 0 and 1;
-        only its matrix lists them as fallback rows."""
-        rng = np.random.default_rng(13)
-        planted = np.vstack([np.zeros((2, 2)), rng.uniform(0.0, 1.0, (12, 2)) + 10.0])
-        clouds = np.stack([rng.uniform(0.0, 1.0, (14, 2)), planted, rng.uniform(0.0, 1.0, (14, 2))])
-        assert clouds.shape[0] * clouds.shape[1] <= lnp.GROUP_ROWS  # one group
-        matrices = [w[2] for w in lnp._weights_by_run(clouds, [2], Counter())]
-        assert [wm.fallback_rows.tolist() for wm in matrices] == [[], [0, 1], []]
-        for cloud, wm in zip(clouds, matrices):
-            ref = reconstruction_weights(cloud, 2)
-            np.testing.assert_allclose(wm.weights, ref.weights, rtol=0, atol=1e-13)
-
     def test_rank_deficient_gram_settles(self):
         """Point 0 mixes 22 points that span 15 of 50 dimensions, so its
         22-neighbor Gram matrix has rank 15 and no Cholesky factor: the row
@@ -188,7 +161,7 @@ class TestUnfold:
 
         sample = gen_manifold("flat_grid", 36, noise=0.0, seed=4, dim=4)
         geo = geodesic_distances(sample.points)
-        coords = unfold(sample.points, np.random.default_rng(0))
+        coords, _, _ = unfold(sample.points)
         d_out = pairwise_euclidean(coords)
         assert stress_measure(geo, d_out) < 0.05
         iu = np.triu_indices(36, 1)
@@ -198,7 +171,10 @@ class TestUnfold:
     def test_arc_unrolls_to_arc_length(self):
         t = np.linspace(0.2, np.pi - 0.2, 60)
         arc = np.column_stack([np.cos(t), np.sin(t)])
-        coords = unfold(arc, np.random.default_rng(1))
+        # the Torgerson start is already near-isometric (stress ~1e-10), and
+        # SMACOF shrinks its stress by a constant fraction per step, short of
+        # the relative tol; 500 steps keep the test fast
+        coords, _, _ = unfold(arc, iters=500)
         got = pairwise_euclidean(coords)
         want = pairwise_euclidean(t.reshape(-1, 1))  # arc length on unit circle
         iu = np.triu_indices(60, 1)
@@ -207,18 +183,51 @@ class TestUnfold:
 
     def test_duplicated_cluster_collapses(self):
         pts = np.tile([[2.0, -1.0]], (12, 1))
-        coords = unfold(pts, np.random.default_rng(2))
+        coords, _, _ = unfold(pts)
         assert pairwise_euclidean(coords).max() < 1e-9
 
-    def test_generator_sequence_unfolds_each_run_as_alone(self):
-        """A sequence of Generators gives one unfolding per start, each with
-        the bits of a call with that Generator alone."""
+    def test_bit_identical_across_calls(self):
         sample = gen_manifold("swiss_roll", 40, noise=0.0, seed=5)
-        stacked = unfold(sample.points, [np.random.default_rng(s) for s in range(3)], iters=80)
-        assert stacked.shape == (3, *sample.points.shape)
-        for s, coords in enumerate(stacked):
-            alone = unfold(sample.points, np.random.default_rng(s), iters=80)
-            np.testing.assert_array_equal(coords, alone)
+        first, steps, stop = unfold(sample.points)
+        again, steps_again, stop_again = unfold(sample.points.copy())
+        assert first.tobytes() == again.tobytes()
+        assert (steps, stop) == (steps_again, stop_again)
+
+    @pytest.mark.parametrize(
+        "n, iters, tol, stop",
+        [
+            (15, 50_000, 1e-9, "tol"),
+            (15, 3, 1e-9, "cap"),
+            (6, 50_000, 0.0, "rejected"),  # tol 0: only a rejected step stops
+        ],
+    )
+    def test_reports_its_stop(self, n, iters, tol, stop):
+        """The stop and step count agree with SMACOF's history from the
+        Torgerson start."""
+        from relop.manifold import classical_mds, geodesic_distances, smacof_mds
+
+        pts = np.random.default_rng(6).standard_normal((n, 3))
+        coords, steps, got = unfold(pts, iters, tol)
+        assert got == stop
+        dist = geodesic_distances(pts)
+        start = classical_mds(dist, 3, pad_warning=False)
+        ref_coords, history = smacof_mds(dist, 3, None, iters, tol, init=start)
+        np.testing.assert_array_equal(coords, ref_coords)
+        assert steps == len(history) - 1
+        assert (steps == iters) == (stop == "cap")
+        if stop == "rejected":
+            assert steps > 0
+
+    def test_pads_axes_beyond_n_minus_one_silently(self):
+        """A cloud of 24 points in 50 dimensions starts from 23 Torgerson
+        axes and 27 zero columns, with no warning for the zero axes."""
+        pts = np.random.default_rng(3).standard_normal((24, 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords, _, stop = unfold(pts)
+        assert coords.shape == (24, 50)
+        assert stop == "tol"
+        assert not coords[:, 23:].any()
 
 
 def chain_weights(n):
@@ -369,17 +378,17 @@ class TestPredict:
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((30, 3))
         initial = {0: 0, 1: 1, 2: 0, 3: 1}
-        base, _ = predict(pts, initial, 2, k=4, seed=5)
-        shifted, _ = predict(pts + 13.7, initial, 2, k=4, seed=5)
-        scaled, _ = predict(pts * 0.031, initial, 2, k=4, seed=5)
+        base, _ = predict(pts, initial, 2, k=4)
+        shifted, _ = predict(pts + 13.7, initial, 2, k=4)
+        scaled, _ = predict(pts * 0.031, initial, 2, k=4)
         np.testing.assert_array_equal(base, shifted)
         np.testing.assert_array_equal(base, scaled)
 
     def test_deterministic_given_seed(self):
         sample = gen_manifold("two_moons", 60, noise=0.08, seed=10)
         initial = {0: 0, 40: 1}
-        first = predict(sample.points, initial, 2, k=6, metric="geodesic", seed=3)
-        second = predict(sample.points, initial, 2, k=6, metric="geodesic", seed=3)
+        first = predict(sample.points, initial, 2, k=6, metric="geodesic")
+        second = predict(sample.points, initial, 2, k=6, metric="geodesic")
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 

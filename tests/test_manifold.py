@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import spearmanr
 
 from relop import manifold
-from relop.lnp import lle_embedding, reconstruction_weights, select_k
+from relop.lnp import lle_embedding, reconstruction_weights, select_k, unfold
 from relop.manifold import (
     classical_mds,
     geodesic_distances,
@@ -269,49 +269,6 @@ class TestSmacof:
         np.testing.assert_array_equal(history, ref_history)
 
 
-    @pytest.mark.parametrize(
-        "cloud, dim, iters, tol, stops",
-        [
-            ("moons", 2, 300, 1e-9, {"tol", "cap"}),  # the runs stop at 263-300
-            ("small", 2, 5000, 0.0, {"rejected"}),  # tol 0: only a rejected step stops
-            ("cloud", 3, 40, 1e-9, {"cap"}),
-        ],
-    )
-    def test_stack_matches_single_runs(self, cloud, dim, iters, tol, stops):
-        """One call over a stack of Generators gives every run the
-        coordinates and history of a call with its Generator alone, bit for
-        bit, wherever each run stops."""
-        if cloud == "moons":
-            pts = gen_manifold("two_moons", 100, noise=0.08, seed=0).points
-            assert manifold.STACK_ENTRIES // len(pts) ** 2 < 4  # the runs span two stacks
-        else:
-            pts = np.random.default_rng(6).standard_normal((6 if cloud == "small" else 15, 3))
-        dist = geodesic_distances(pts)
-        seeds = range(4)
-        coords, history = smacof_mds(
-            dist, dim, [np.random.default_rng(s) for s in seeds], iters, tol
-        )
-        assert coords.shape == (len(seeds), len(pts), dim)
-        steps, reasons = [], set()
-        for run, seed in enumerate(seeds):
-            ref_coords, ref_history = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
-            np.testing.assert_array_equal(coords[run], ref_coords)
-            column = history[:, run]
-            np.testing.assert_array_equal(column[: len(ref_history)], ref_history)
-            assert np.isnan(column[len(ref_history) :]).all()
-            steps.append(len(ref_history) - 1)
-            if steps[-1] == iters:
-                reasons.add("cap")
-            elif ref_history[-2] - ref_history[-1] < tol * ref_history[-2]:
-                reasons.add("tol")
-            else:
-                reasons.add("rejected")
-        assert len(history) - 1 == max(steps)
-        assert reasons == stops
-        if cloud != "cloud":
-            assert len(set(steps)) > 1
-
-
 class TestQualityMeasures:
     def test_np_identical_spaces(self):
         d = pairwise_euclidean(np.random.default_rng(0).standard_normal((12, 3)))
@@ -397,8 +354,8 @@ class TestQualityMeasures:
 
 
 class TestSelectK:
-    """``lnp.select_k``: one SMACOF unfolding per seeded run, and each k
-    judged by the LLE embedding of its own weights on the unfolded cloud."""
+    """``lnp.select_k``: one deterministic unfolding, and each k judged by
+    the LLE embedding of its own weights on the unfolded cloud."""
 
     @staticmethod
     def cloud(seed=7, n=15):
@@ -407,43 +364,32 @@ class TestSelectK:
     def test_constant_pne_picks_smallest(self, monkeypatch):
         # PNE identically zero for every k -> tie broken by smallest k
         monkeypatch.setattr(manifold, "pne", lambda d_orig, d_embed, k: 0.0)
-        k_star, rows = select_k(self.cloud(6, 12), range(3, 8), runs=2, seed=0)
+        k_star, rows = select_k(self.cloud(6, 12), range(3, 8))
         assert k_star == 3
-        assert len(rows) == 5 * 2
+        assert len(rows) == 5
 
     def test_matches_exhaustive_scan(self):
-        k_star, rows = select_k(self.cloud(), range(2, 9), runs=3, seed=1)
-        per_k = {}
-        for row in rows:
-            per_k.setdefault(row["k"], []).append(row["pne"])
-        assert sorted(per_k) == list(range(2, 9))
-        assert all(len(v) == 3 for v in per_k.values())
-        medians = {k: np.median(v) for k, v in per_k.items()}
-        assert k_star == min(medians, key=lambda k: (medians[k], k))
+        k_star, rows = select_k(self.cloud(), range(2, 9))
+        assert [row["k"] for row in rows] == list(range(2, 9))
+        assert k_star == min(rows, key=lambda row: (row["pne"], row["k"]))["k"]
 
     def test_rows_carry_np_and_st(self):
         pts = self.cloud(10)
-        runs, seed, run = 3, 4, 1
-        _, rows = select_k(pts, range(2, 6), runs=runs, seed=seed)
-        # the run's own spawned seed: SMACOF, then weights, then LLE
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(runs)[run])
-        unfolded, _ = smacof_mds(geodesic_distances(pts), 3, rng)
+        _, rows = select_k(pts, range(2, 6))
+        # the cloud's one unfolding, then each k's weights, then LLE
+        unfolded, _, _ = unfold(pts)
         d_o = pairwise_euclidean(pts)
-        checked = 0
         for row in rows:
-            if row["run"] != run:
-                continue
             k = row["k"]
             wm = reconstruction_weights(unfolded, k)
             d_e = pairwise_euclidean(lle_embedding(wm, 2))
             assert row["np"] == neighborhood_preservation(d_o, d_e, k)
             assert row["st"] == stress_measure(d_o, d_e)
             assert row["pne"] == pne(d_o, d_e, k)
-            checked += 1
-        assert checked == 4
+        assert len(rows) == 4
 
     def test_deterministic(self):
         pts = self.cloud(8, 10)
-        first = select_k(pts, range(2, 6), runs=4, seed=3)
-        second = select_k(pts, range(2, 6), runs=4, seed=3)
+        first = select_k(pts, range(2, 6))
+        second = select_k(pts, range(2, 6))
         assert first == second

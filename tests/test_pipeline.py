@@ -214,28 +214,39 @@ class TestPipelineChain:
                 assert isinstance(counts[key], int) and counts[key] >= 0
 
     def test_sweep_takes_smacof_iters_from_the_config(self, chain_dirs, tmp_path, monkeypatch):
+        """``predict``, ``sweep`` and ``metrics`` each unfold the state points
+        once, to the same bits, and record its step count and stop: ``tol``
+        at the default ``smacof_iters``, ``cap`` at 3."""
         from relop import lnp
 
-        for name in ("points.tsv", "state_truth.csv"):
+        for name in ("points.tsv", "state_truth.csv", "initial_labels.csv"):
             shutil.copy(Path(chain_dirs["a"], name), tmp_path / name)
-        iterations = []
-        smacof_mds = lnp.smacof_mds
+        unfolded = []
+        unfold = lnp.unfold
 
         def spy(*args, **kwargs):
-            # one call unfolds every run: column r of the history is run r's,
-            # NaN after it stopped
-            coords, history = smacof_mds(*args, **kwargs)
-            iterations.extend((~np.isnan(history)).sum(axis=0) - 1)
-            return coords, history
+            unfolded.append(unfold(*args, **kwargs))
+            return unfolded[-1]
 
-        monkeypatch.setattr(lnp, "smacof_mds", spy)
-        args = ["sweep", "--workdir", str(tmp_path), "--runs", "2", "--k_min", "2",
-                "--k_max", "3", "--label_counts", "4"]
-        assert main(args + ["--smacof_iters", "3"]) == 0
-        assert len(iterations) == 2 and max(iterations) <= 3
-        iterations.clear()
-        assert main(args + ["--smacof_iters", "500"]) == 0
-        assert len(iterations) == 2 and max(iterations) > 3
+        monkeypatch.setattr(lnp, "unfold", spy)
+        stages = ("predict", "sweep", "metrics")
+        args = ["--workdir", str(tmp_path), "--runs", "2", "--k_min", "2", "--k_max", "3",
+                "--label_counts", "4"]
+        for extra, stop in (([], "tol"), (["--smacof_iters", "3"], "cap")):
+            unfolded.clear()
+            for stage in stages:
+                assert main([stage, *args, *extra]) == 0
+            assert len(unfolded) == 3
+            assert len({coords.tobytes() for coords, _, _ in unfolded}) == 1
+            records = [
+                json.loads(line)
+                for line in Path(tmp_path, "runs.jsonl").read_text().splitlines()
+            ][-3:]
+            assert [r["stage"] for r in records] == list(stages)
+            for record, (_, steps, _) in zip(records, unfolded):
+                assert record["counts"]["unfold_stop"] == stop
+                assert record["counts"]["unfold_iters"] == steps
+            assert (steps == 3) == (stop == "cap")
 
     def test_predictions_schema(self, chain_dirs):
         lines = Path(chain_dirs["a"], "predictions.csv").read_text().splitlines()
