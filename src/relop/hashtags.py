@@ -146,6 +146,7 @@ def propagate_hashtag_labels(
     rng: np.random.Generator,
     max_sweeps: int = 100,
     weighted: bool = False,
+    tally: Counter | None = None,
 ) -> dict[str, OpinionLabel]:
     """Spread seed labels over the graph by asynchronous majority vote.
 
@@ -154,7 +155,9 @@ def propagate_hashtag_labels(
     broken uniformly at random. Seeds never change. Sweeping stops at a fixed
     point: every non-seed vertex with a labeled neighbor holds one of its
     majority labels. ``weighted`` votes by significance weight instead of
-    neighbor count.
+    neighbor count. ``tally``, when given, records the sweeps run
+    (``lpa_sweeps``) and whether they reached the fixed point before
+    ``max_sweeps`` (``lpa_settled``).
     """
     adjacency = graph.neighbors()
     edge_weight = {key: edge.s for key, edge in graph.edges.items()}
@@ -177,7 +180,9 @@ def propagate_hashtag_labels(
         best = majority(vertex)
         return best is None or labels.get(vertex) in best
 
-    for _ in range(max_sweeps):
+    sweeps, fixed = 0, False
+    while not fixed and sweeps < max_sweeps:
+        sweeps += 1
         order = rng.permutation(len(vertices))
         for idx in order:
             vertex = vertices[idx]
@@ -187,8 +192,10 @@ def propagate_hashtag_labels(
             if best is None:
                 continue
             labels[vertex] = best[0] if len(best) == 1 else best[int(rng.integers(len(best)))]
-        if all(settled(vertex) for vertex in vertices if vertex not in seeds):
-            break
+        fixed = all(settled(vertex) for vertex in vertices if vertex not in seeds)
+    if tally is not None:
+        tally["lpa_sweeps"] = sweeps
+        tally["lpa_settled"] = fixed
     return labels
 
 

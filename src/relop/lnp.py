@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +21,13 @@ FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
 MAX_PIVOT_ROUNDS = 200
 # a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
 DUAL_TOL = 1e-10
+# ``unfold`` and ``reconstruction_weights`` keep this many recent results,
+# by content (``_memoized``), since the chain's stages unfold one cloud and
+# solve the sweep's k values again; 64 holds a sweep's unfold and both
+# metrics' weights over k = 2..25
+MEMO_ENTRIES = 64
+MEMO: OrderedDict = OrderedDict()
+MEMO_HITS: Counter = Counter()  # by function name, for the stages' counts
 
 
 @dataclass
@@ -124,7 +131,7 @@ def _nonnegative_active_set(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lawson-Hanson active set for min v'Gv/2 - 1'v subject to v >= 0, for
     each row's Gram matrix G; returns v and the rows still unsettled after
-    ``MAX_PIVOT_ROUNDS`` rounds.
+    ``MAX_PIVOT_ROUNDS`` rounds (an unsettled row keeps its feasible iterate).
 
     Its solution normalized to sum one minimizes w'Gw over the simplex (the
     KKT conditions agree, with multiplier 2/sum(v)). Rows whose unconstrained
@@ -169,11 +176,10 @@ def _nonnegative_active_set(
             x[clamp] = 0.0
             free[rows] &= ~clamp
             v[rows] = x
-    if live.any():
-        warnings.warn(
-            f"nonnegative weight solve did not settle within {MAX_PIVOT_ROUNDS} "
-            f"rounds for {int(live.sum())} rows"
-        )
+    # a row stuck at v = 0 takes the positive part of its unconstrained
+    # solution, which has a positive entry since 1'G^-1 1 > 0
+    stuck = live & ~v.any(axis=1)
+    v[stuck] = np.maximum(unconstrained[stuck], 0.0)
     return v, np.flatnonzero(live)
 
 
@@ -208,18 +214,54 @@ def _local_weights(
     return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled
 
 
+def _memoized(name: str, points: np.ndarray, args: tuple, compute):
+    """``compute()``, or the result ``MEMO`` holds for the same function,
+    points (shape and bytes), arguments and solver constants. The
+    ``MEMO_ENTRIES`` most recently used results are kept."""
+    key = (name, points.shape, points.tobytes(), args,
+           STRUCTURAL_RIDGE, FALLBACK_RIDGES, MAX_PIVOT_ROUNDS, DUAL_TOL)
+    if key in MEMO:
+        MEMO.move_to_end(key)
+        MEMO_HITS[name] += 1
+        return MEMO[key]
+    MEMO[key] = result = compute()
+    if len(MEMO) > MEMO_ENTRIES:
+        MEMO.popitem(last=False)
+    return result
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
 def reconstruction_weights(points: np.ndarray, k: int) -> WeightMatrix:
     """Nonnegative weights, summing to one, that best reconstruct each point
     from its k nearest neighbors: min |x_i - sum_j w_j x_j|^2 over the
     simplex, for the local Gram systems of all points together.
+
+    A repeat call returns the memoized matrix, whose arrays are read-only;
+    unsettled rows are warned about on every call.
     """
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
     if not (0 < k < n):
         raise ValueError("require 0 < k < n")
-    neighbors = knn_sets(pairwise_euclidean(points), k)
-    weights, fallback, unsettled = _local_weights(points[:, None, :] - points[neighbors], k > dim)
-    return WeightMatrix(neighbors, weights, fallback, unsettled)
+
+    def solve() -> WeightMatrix:
+        neighbors = knn_sets(pairwise_euclidean(points), k)
+        diffs = points[:, None, :] - points[neighbors]
+        wm = WeightMatrix(neighbors, *_local_weights(diffs, k > dim))
+        _read_only(wm.indices, wm.weights, wm.fallback_rows, wm.unsettled_rows)
+        return wm
+
+    wm = _memoized("reconstruction_weights", points, (k,), solve)
+    if wm.unsettled_rows.size:
+        warnings.warn(
+            f"nonnegative weight solve did not settle within {MAX_PIVOT_ROUNDS} "
+            f"rounds for {wm.unsettled_rows.size} rows"
+        )
+    return wm
 
 
 def _count_rows(tally: Counter, wm: WeightMatrix) -> None:
@@ -239,21 +281,28 @@ def unfold(
     zero-padded to d. Returns (coords, iterations, stop): the accepted
     SMACOF steps and why they ended, ``"tol"`` (a step improved the stress
     by less than ``tol`` relative), ``"cap"`` (``iters`` steps) or
-    ``"rejected"`` (a step failed to improve at numerical precision)."""
+    ``"rejected"`` (a step failed to improve at numerical precision). A
+    repeat call returns the memoized result, whose coordinates are read-only."""
     points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    m = min(d, n - 1)
-    dist = geodesic_distances(points)
-    start = mf.classical_mds(dist, m, pad_warning=False)
-    coords, history = smacof_mds(dist, m, None, iters=iters, tol=tol, init=start)
-    steps = len(history) - 1
-    if steps and history[-2] - history[-1] < tol * max(history[-2], 1e-300):
-        stop = "tol"
-    elif steps < iters:
-        stop = "rejected"
-    else:
-        stop = "cap"
-    return np.pad(coords, ((0, 0), (0, d - m))), steps, stop
+
+    def run() -> tuple[np.ndarray, int, str]:
+        n, d = points.shape
+        m = min(d, n - 1)
+        dist = geodesic_distances(points)
+        start = mf.classical_mds(dist, m, pad_warning=False)
+        coords, history = smacof_mds(dist, m, None, iters=iters, tol=tol, init=start)
+        steps = len(history) - 1
+        if steps and history[-2] - history[-1] < tol * max(history[-2], 1e-300):
+            stop = "tol"
+        elif steps < iters:
+            stop = "rejected"
+        else:
+            stop = "cap"
+        coords = np.pad(coords, ((0, 0), (0, d - m)))
+        _read_only(coords)
+        return coords, steps, stop
+
+    return _memoized("unfold", points, (iters, tol), run)
 
 
 def _reaching_rows(weight_matrix: WeightMatrix, labeled: np.ndarray) -> np.ndarray:
@@ -273,6 +322,7 @@ def propagate(
     initial_labels: Mapping[int, int],
     n_classes: int,
     tol: float = 1e-9,
+    tally: Counter | None = None,
 ) -> np.ndarray:
     """The fixed point of label reconstruction, solved directly.
 
@@ -282,7 +332,8 @@ def propagate(
     iterated from zero. Rows are nonnegative and sum to one, and each
     reached row has a path of positive weights to a label, so W_RR has
     spectral radius below one and I - W_RR is nonsingular. A fixed-point
-    residual above ``tol`` is warned about.
+    residual above ``tol`` is warned about; ``tally``, when given, records
+    it as ``propagate_residual`` (0.0 when no row is reached).
     """
     n = weight_matrix.n_points
     labels = np.zeros((n, n_classes))
@@ -293,6 +344,8 @@ def propagate(
     labeled = np.zeros(n, dtype=bool)
     labeled[list(initial_labels)] = True
     rows = _reaching_rows(weight_matrix, labeled)
+    if tally is not None:
+        tally["propagate_residual"] = 0.0
     if rows.size == 0:
         return labels
     # dense rows of the reached block: L_R = W_RR L_R + W_Rl L_l
@@ -303,6 +356,8 @@ def propagate(
     residual = float(np.abs(w_rr @ solved + bias - solved).max())
     if not residual <= tol:  # NaN too
         warnings.warn(f"label propagation fixed-point residual {residual:.3e} exceeds tol {tol:g}")
+    if tally is not None:
+        tally["propagate_residual"] = residual
     labels[rows] = solved
     return labels
 
@@ -324,6 +379,31 @@ def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
     return vectors[:, null : null + dim] * np.sqrt(n)
 
 
+def metric_weights(
+    points: np.ndarray,
+    k: int,
+    metric: str = "euclidean",
+    smacof_iters: int = 50_000,
+    smacof_tol: float = 1e-9,
+    tally: Counter | None = None,
+) -> WeightMatrix:
+    """The weights ``predict`` propagates over: the geodesic variant first
+    unfolds the cloud (``unfold``), then finds neighbors and nonnegative
+    weights on the unfolded coordinates. ``tally`` is as in
+    ``sensitivity_sweep``."""
+    points = np.asarray(points, dtype=float)
+    tally = Counter() if tally is None else tally
+    if metric == "geodesic":
+        points, tally["unfold_iters"], tally["unfold_stop"] = unfold(
+            points, smacof_iters, smacof_tol
+        )
+    elif metric != "euclidean":
+        raise ValueError(f"unknown metric: {metric}")
+    wm = reconstruction_weights(points, k)
+    _count_rows(tally, wm)
+    return wm
+
+
 def predict(
     points: np.ndarray,
     initial_labels: Mapping[int, int],
@@ -335,22 +415,9 @@ def predict(
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full propagation pipeline; returns (classes, soft scores).
-
-    The geodesic variant first unfolds the cloud (``unfold``), then finds
-    neighbors and nonnegative weights on the unfolded coordinates.
-    ``tally`` is as in ``sensitivity_sweep``.
-    """
-    points = np.asarray(points, dtype=float)
-    tally = Counter() if tally is None else tally
-    if metric == "geodesic":
-        points, tally["unfold_iters"], tally["unfold_stop"] = unfold(
-            points, smacof_iters, smacof_tol
-        )
-    elif metric != "euclidean":
-        raise ValueError(f"unknown metric: {metric}")
-    wm = reconstruction_weights(points, k)
-    _count_rows(tally, wm)
+    """Run the full propagation pipeline; returns (classes, soft scores):
+    ``propagate`` over ``metric_weights``, whose ``tally`` this is."""
+    wm = metric_weights(points, k, metric, smacof_iters, smacof_tol, tally)
     soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol)
     return np.argmax(soft, axis=1), soft
 

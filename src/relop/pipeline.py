@@ -253,8 +253,9 @@ def stage_hashtag_net(config: PipelineConfig) -> dict:
     filtered = ht.significance_filter(graph, config.p_o)
     seeds = ht.read_seeds(input_path(config, "seeds.csv"))
     rng = np.random.default_rng(stage_seed(config, "hashtag-net"))
+    tally = Counter()
     labels = ht.propagate_hashtag_labels(
-        filtered, seeds, rng, config.lpa_max_sweeps, weighted=config.lpa_weighted
+        filtered, seeds, rng, config.lpa_max_sweeps, weighted=config.lpa_weighted, tally=tally
     )
     pruned = ht.prune_labels(labels, filtered.counts, config.prune_ratio)
     ht.write_label_map(_work(config, "hashtag_labels.csv"), pruned, filtered.counts)
@@ -265,6 +266,7 @@ def stage_hashtag_net(config: PipelineConfig) -> dict:
         "significant_edges": len(filtered.edges),
         "labeled": len(labels),
         "labeled_after_prune": len(pruned),
+        **tally,  # sweeps, and whether spreading reached its fixed point
     }
 
 
@@ -373,18 +375,13 @@ def stage_predict(config: PipelineConfig) -> dict:
         raise DataError(f"labeled entities missing from points: {unknown}")
     initial = {row_of[e]: index_of[c] for e, c in raw_labels.items()}
     k = min(config.lnp_k, len(ids) - 1)
+    hits = lnp.MEMO_HITS.copy()
     tally = Counter()
-    predicted, soft = lnp.predict(
-        coords,
-        initial,
-        len(classes),
-        k,
-        metric=config.lnp_metric,
-        propagate_tol=config.propagate_tol,
-        smacof_iters=config.smacof_iters,
-        smacof_tol=config.smacof_tol,
-        tally=tally,
+    wm = lnp.metric_weights(
+        coords, k, config.lnp_metric, config.smacof_iters, config.smacof_tol, tally
     )
+    soft = lnp.propagate(wm, initial, len(classes), tol=config.propagate_tol, tally=tally)
+    predicted = np.argmax(soft, axis=1)
     header = ["entity", "class"] + [f"score_{i + 1}" for i in range(len(classes))]
     _write_csv(
         _work(config, "predictions.csv"),
@@ -399,7 +396,17 @@ def stage_predict(config: PipelineConfig) -> dict:
         "k": k,
         "metric": config.lnp_metric,
         "unreached_rows": int((~soft.any(axis=1)).sum()),  # no label reached: all zero
-        **tally,  # fallback and unsettled rows, and a geodesic unfold's stop
+        **tally,  # fallback and unsettled rows, residual, and a geodesic unfold's stop
+        **_reuse_counts(hits),
+    }
+
+
+def _reuse_counts(hits: Counter) -> dict:
+    """Unfolds and weight matrices taken from ``lnp``'s memo since ``hits``
+    (a copy of ``lnp.MEMO_HITS``)."""
+    return {
+        "reused_unfolds": lnp.MEMO_HITS["unfold"] - hits["unfold"],
+        "reused_weights": lnp.MEMO_HITS["reconstruction_weights"] - hits["reconstruction_weights"],
     }
 
 
@@ -423,6 +430,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
     label_counts = parse_int_list(config.label_counts)
     if any(count <= truth.max() for count in label_counts):  # draws no labels
         raise UsageError(f"label_counts entries must be at least the class count {truth.max() + 1}")
+    hits = lnp.MEMO_HITS.copy()
     tally = Counter()
     rows = lnp.sensitivity_sweep(
         coords,
@@ -446,6 +454,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
         "k_values": len(ks),
         "unreached_rows": sum(r.unreached for r in rows),
         **tally,  # fallback and unsettled rows, and the unfold's stop
+        **_reuse_counts(hits),
     }
 
 
@@ -454,6 +463,7 @@ def stage_metrics(config: PipelineConfig) -> dict:
     if len(ids) < 4:
         raise DataError("need at least 4 state points for the quality sweep")
     ks = _usable_ks(config, len(ids))
+    hits = lnp.MEMO_HITS.copy()
     tally = Counter()
     k_star, table = lnp.select_k(
         coords,
@@ -483,6 +493,7 @@ def stage_metrics(config: PipelineConfig) -> dict:
         "k_star": k_star,
         "runs": config.runs,
         **tally,  # fallback and unsettled rows, and the unfold's stop
+        **_reuse_counts(hits),
     }
 
 

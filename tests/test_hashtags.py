@@ -223,6 +223,32 @@ class TestLabelPropagation:
             labels = propagate_hashtag_labels(graph, seeds, np.random.default_rng(seed))
             assert labels == dict.fromkeys(("#seed", "#a", "#b"), OpinionLabel.PRO_TRUMP)
 
+    def test_tally_reports_sweeps_and_the_fixed_point(self):
+        """On the seed-a-b path one sweep settles only when a is visited
+        before b; otherwise a second sweep reaches the fixed point."""
+        from relop.hashtags import CoocEdge, HashtagGraph
+
+        graph = HashtagGraph(
+            counts={"#seed": 5, "#a": 5, "#b": 5},
+            edges={
+                ("#a", "#seed"): CoocEdge("#a", "#seed", 3, 1e-9, 1.0),
+                ("#a", "#b"): CoocEdge("#a", "#b", 3, 1e-9, 1.0),
+            },
+            n_tweets=20,
+        )
+        seeds = {"#seed": OpinionLabel.PRO_TRUMP}
+        outcomes = set()
+        for seed in range(40):
+            capped, full = Counter(), Counter()
+            labels = propagate_hashtag_labels(
+                graph, seeds, np.random.default_rng(seed), max_sweeps=1, tally=capped
+            )
+            propagate_hashtag_labels(graph, seeds, np.random.default_rng(seed), tally=full)
+            assert capped == {"lpa_sweeps": 1, "lpa_settled": "#b" in labels}
+            assert full == {"lpa_sweeps": 1 if capped["lpa_settled"] else 2, "lpa_settled": True}
+            outcomes.add(capped["lpa_settled"])
+        assert outcomes == {True, False}
+
     def test_tie_breaks_uniformly(self):
         """A vertex with equal-count neighbors lands ~50/50 over many seeds."""
         tweets = [["#left", "#mid"]] * 40 + [["#right", "#mid"]] * 40 + [["#pad"]] * 400

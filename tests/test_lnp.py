@@ -143,9 +143,99 @@ class TestReconstructionWeights:
             predict(pts, {0: 0, 1: 1}, 2, k=2, tally=tally)
         assert tally == {"fallback_rows": 0, "unsettled_rows": wm.unsettled_rows.size}
 
+    def test_stuck_rows_take_the_positive_unconstrained_part(self, monkeypatch):
+        """With one active-set round, most of these clouds leave some row
+        at an all-zero iterate; it gets the positive part of its
+        unconstrained solution, normalized, instead of 0/0, and stays
+        unsettled and warned about."""
+        monkeypatch.setattr(lnp, "MAX_PIVOT_ROUNDS", 1)
+        unsettled = 0
+        for seed in range(45):
+            for dim in (2, 3):
+                pts = np.random.default_rng(seed).standard_normal((8, dim))
+                for k in (4, 5):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        wm = reconstruction_weights(pts, k)
+                    assert np.isfinite(wm.weights).all()
+                    warned = [w for w in caught if "did not settle" in str(w.message)]
+                    assert len(warned) == (wm.unsettled_rows.size > 0)
+                    unsettled += wm.unsettled_rows.size > 0
+        assert unsettled >= 170
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             reconstruction_weights(np.zeros((4, 2)), 4)
+
+
+class TestMemo:
+    """``unfold`` and ``reconstruction_weights`` share one bounded memo
+    keyed by the points' content, the arguments and the solver constants."""
+
+    @staticmethod
+    def count_smacof(monkeypatch) -> list:
+        calls = []
+        smacof = lnp.smacof_mds
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return smacof(*args, **kwargs)
+
+        monkeypatch.setattr(lnp, "smacof_mds", spy)
+        return calls
+
+    def test_repeat_returns_equal_read_only_results(self, monkeypatch):
+        calls = self.count_smacof(monkeypatch)
+        pts = np.random.default_rng(2).standard_normal((15, 3))
+        first = unfold(pts, 200)
+        again = unfold(pts.copy(), 200)
+        assert len(calls) == 1
+        assert first[0].tobytes() == again[0].tobytes() and first[1:] == again[1:]
+        assert not again[0].flags.writeable
+        wm = reconstruction_weights(again[0], 4)
+        wm_again = reconstruction_weights(np.array(again[0]), 4)
+        assert wm_again.weights.tobytes() == wm.weights.tobytes()
+        assert wm_again.indices.tobytes() == wm.indices.tobytes()
+        for array in (wm_again.indices, wm_again.weights, wm_again.fallback_rows,
+                      wm_again.unsettled_rows):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            wm_again.weights[0, 0] = 0.5
+
+    def test_a_point_moved_by_one_ulp_misses(self, monkeypatch):
+        calls = self.count_smacof(monkeypatch)
+        pts = np.random.default_rng(3).standard_normal((12, 2))
+        moved = pts.copy()
+        moved[5, 1] = np.nextafter(moved[5, 1], np.inf)
+        unfold(pts, 50)
+        unfold(moved, 50)
+        assert len(calls) == 2
+        hits = lnp.MEMO_HITS["reconstruction_weights"]
+        reconstruction_weights(pts, 3)
+        reconstruction_weights(moved, 3)
+        assert lnp.MEMO_HITS["reconstruction_weights"] == hits
+
+    def test_a_changed_solver_constant_misses(self, monkeypatch):
+        pts = np.random.default_rng(4).standard_normal((12, 2))
+        reconstruction_weights(pts, 3)
+        hits = lnp.MEMO_HITS["reconstruction_weights"]
+        monkeypatch.setattr(lnp, "MAX_PIVOT_ROUNDS", lnp.MAX_PIVOT_ROUNDS + 1)
+        reconstruction_weights(pts, 3)
+        assert lnp.MEMO_HITS["reconstruction_weights"] == hits
+        assert len(lnp.MEMO) == 2
+
+    def test_stays_within_its_bound(self):
+        """The least recently used result is dropped first."""
+        base = np.random.default_rng(5).standard_normal((6, 2))
+        clouds = [base + i for i in range(lnp.MEMO_ENTRIES + 5)]
+        for cloud in clouds:
+            reconstruction_weights(cloud, 2)
+            assert len(lnp.MEMO) <= lnp.MEMO_ENTRIES
+        assert len(lnp.MEMO) == lnp.MEMO_ENTRIES
+        hits = lnp.MEMO_HITS["reconstruction_weights"]
+        reconstruction_weights(clouds[-1], 2)
+        reconstruction_weights(clouds[0], 2)
+        assert lnp.MEMO_HITS["reconstruction_weights"] == hits + 1
 
 
 class TestUnfold:

@@ -248,6 +248,46 @@ class TestPipelineChain:
                 assert record["counts"]["unfold_iters"] == steps
             assert (steps == 3) == (stop == "cap")
 
+    def test_stages_share_one_unfold_and_their_weights(self, chain_dirs, tmp_path, monkeypatch):
+        """In one process, ``predict`` unfolds and solves its k, ``sweep``
+        reuses both, and ``metrics`` reuses the unfold and every geodesic
+        matrix: one SMACOF run, and the same bytes as stages that each
+        start with an empty memo."""
+        from relop import lnp
+
+        smacof_calls = []
+        smacof = lnp.smacof_mds
+
+        def spy(*args, **kwargs):
+            smacof_calls.append(1)
+            return smacof(*args, **kwargs)
+
+        monkeypatch.setattr(lnp, "smacof_mds", spy)
+        stages = ("predict", "sweep", "metrics")
+        reused, k_values = {}, None
+        for name in ("shared", "fresh"):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            for artifact in ("points.tsv", "state_truth.csv", "initial_labels.csv"):
+                shutil.copy(Path(chain_dirs["a"], artifact), workdir / artifact)
+            smacof_calls.clear()
+            for stage in stages:
+                if name == "fresh":
+                    lnp.MEMO.clear()
+                counts = run_stage(stage, small_config(workdir, master_seed=11))
+                reused[name, stage] = (counts["reused_unfolds"], counts["reused_weights"])
+                k_values = counts.get("k_values", k_values)
+            assert len(smacof_calls) == (1 if name == "shared" else 3)
+        assert [reused["shared", stage] for stage in stages] == [(0, 0), (1, 1), (1, k_values)]
+        assert all(reused["fresh", stage] == (0, 0) for stage in stages)
+        assert artifact_hashes(tmp_path / "shared") == artifact_hashes(tmp_path / "fresh")
+
+    def test_counts_report_spreading_and_the_fixed_point(self, chain_dirs):
+        records = {r["stage"]: r["counts"] for r in _manifest(chain_dirs["a"])}
+        assert records["hashtag-net"]["lpa_sweeps"] >= 1
+        assert records["hashtag-net"]["lpa_settled"] is True
+        assert 0.0 <= records["predict"]["propagate_residual"] <= PipelineConfig().propagate_tol
+
     def test_predictions_schema(self, chain_dirs):
         lines = Path(chain_dirs["a"], "predictions.csv").read_text().splitlines()
         assert lines[0] == "entity,class,score_1,score_2"
