@@ -14,9 +14,14 @@ from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_m
 
 # structurally rank-deficient local Gram systems (k above the ambient
 # dimension) get the standard LLE conditioning; otherwise the system is
-# solved exactly, falling back to a tiny ridge only on singular input
+# solved exactly, and a singular one takes the first of the fallback ridges
+# (times its mean diagonal) that makes it nonsingular
 STRUCTURAL_RIDGE = 1e-3
 FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
+# a Gram matrix is singular when its smallest Cholesky pivot squared is at
+# most this times its mean diagonal (or it has no factor); at 1e-14 a
+# rank-16 cloud in 50-D at k = 17 passed, and its solve raised
+SINGULAR_TOL = 1e-12
 # active-set rounds after which a weight solve is reported unsettled
 MAX_PIVOT_ROUNDS = 200
 # a clamped neighbor is freed once its dual 1 - (G v)_j exceeds this
@@ -55,10 +60,6 @@ class WeightMatrix:
     def n_points(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
@@ -70,20 +71,6 @@ class WeightMatrix:
         return out
 
 
-def _stacked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] x[i] = b[i] for every i; singular systems give NaN rows."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(a.shape[0]):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _gram(diffs: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     """Local Gram matrices D D' + ridge I of a stack of difference arrays."""
     gram = np.einsum("nid,njd->nij", diffs, diffs)
@@ -92,20 +79,21 @@ def _gram(diffs: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _unusable(gram: np.ndarray, solutions: np.ndarray) -> np.ndarray:
-    """Rows of a stack of Gram systems that count as singular: the solution
-    is not finite or sums to zero, or the matrix has no Cholesky factor (the
-    active set's free blocks could be singular, and it would cycle)."""
-    out = ~np.isfinite(solutions).all(axis=1) | (np.abs(solutions.sum(axis=1)) <= 1e-12)
+def _singular(gram: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows of a stack of Gram matrices that count as singular: no Cholesky
+    factor, or a smallest pivot whose square is at most ``SINGULAR_TOL``
+    times the row's ``scale``. The rows are factored one at a time only
+    when the stack as a whole has no factor."""
+    pivots = np.zeros(gram.shape[:2])
     try:
-        np.linalg.cholesky(gram)
+        pivots[:] = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
     except np.linalg.LinAlgError:
-        for i in np.flatnonzero(~out):
+        for i, matrix in enumerate(gram):
             try:
-                np.linalg.cholesky(gram[i])
+                pivots[i] = np.diagonal(np.linalg.cholesky(matrix))
             except np.linalg.LinAlgError:
-                out[i] = True
-    return out
+                pass
+    return pivots.min(axis=1) ** 2 <= SINGULAR_TOL * scale
 
 
 def _free_solve(gram: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -122,7 +110,8 @@ def _free_solve(gram: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndar
     diag = np.arange(order.shape[1])
     system[:, diag, diag] += pad
     out = np.zeros(free.shape)
-    np.put_along_axis(out, order, _stacked_solve(system, (~pad).astype(float)), axis=1)
+    solved = np.linalg.solve(system, (~pad).astype(float)[..., None])[..., 0]
+    np.put_along_axis(out, order, solved, axis=1)
     return out
 
 
@@ -195,21 +184,17 @@ def _local_weights(
     scale[scale <= 0.0] = 1.0
     ridge = STRUCTURAL_RIDGE * scale if structural else np.zeros(n)
     gram = _gram(diffs, ridge)
-    ones = np.ones((n, k))
-    solutions = _stacked_solve(gram, ones)
-    fallback = np.flatnonzero(_unusable(gram, solutions))
-    pending = fallback
+    fallback = pending = np.flatnonzero(_singular(gram, scale))
     for eps in FALLBACK_RIDGES:
         if pending.size == 0:
             break
         system = _gram(diffs[pending], ridge[pending] + eps * scale[pending])
-        retried = _stacked_solve(system, ones[pending])
-        ok = ~_unusable(system, retried)
+        ok = ~_singular(system, scale[pending])
         gram[pending[ok]] = system[ok]
-        solutions[pending[ok]] = retried[ok]
         pending = pending[~ok]
     if pending.size:
         raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+    solutions = np.linalg.solve(gram, np.ones((n, k, 1)))[..., 0]
     solutions, unsettled = _nonnegative_active_set(gram, solutions)
     return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled
 
@@ -219,7 +204,7 @@ def _memoized(name: str, points: np.ndarray, args: tuple, compute):
     points (shape and bytes), arguments and solver constants. The
     ``MEMO_ENTRIES`` most recently used results are kept."""
     key = (name, points.shape, points.tobytes(), args,
-           STRUCTURAL_RIDGE, FALLBACK_RIDGES, MAX_PIVOT_ROUNDS, DUAL_TOL)
+           STRUCTURAL_RIDGE, FALLBACK_RIDGES, SINGULAR_TOL, MAX_PIVOT_ROUNDS, DUAL_TOL)
     if key in MEMO:
         MEMO.move_to_end(key)
         MEMO_HITS[name] += 1
@@ -379,31 +364,6 @@ def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
     return vectors[:, null : null + dim] * np.sqrt(n)
 
 
-def metric_weights(
-    points: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-    smacof_iters: int = 50_000,
-    smacof_tol: float = 1e-9,
-    tally: Counter | None = None,
-) -> WeightMatrix:
-    """The weights ``predict`` propagates over: the geodesic variant first
-    unfolds the cloud (``unfold``), then finds neighbors and nonnegative
-    weights on the unfolded coordinates. ``tally`` is as in
-    ``sensitivity_sweep``."""
-    points = np.asarray(points, dtype=float)
-    tally = Counter() if tally is None else tally
-    if metric == "geodesic":
-        points, tally["unfold_iters"], tally["unfold_stop"] = unfold(
-            points, smacof_iters, smacof_tol
-        )
-    elif metric != "euclidean":
-        raise ValueError(f"unknown metric: {metric}")
-    wm = reconstruction_weights(points, k)
-    _count_rows(tally, wm)
-    return wm
-
-
 def predict(
     points: np.ndarray,
     initial_labels: Mapping[int, int],
@@ -415,10 +375,23 @@ def predict(
     smacof_tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full propagation pipeline; returns (classes, soft scores):
-    ``propagate`` over ``metric_weights``, whose ``tally`` this is."""
-    wm = metric_weights(points, k, metric, smacof_iters, smacof_tol, tally)
-    soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol)
+    """Run the full propagation pipeline; returns (classes, soft scores).
+
+    The geodesic variant first unfolds the cloud (``unfold``), then finds
+    neighbors and nonnegative weights on the unfolded coordinates. ``tally``
+    is as in ``sensitivity_sweep``, and gains ``propagate``'s
+    ``propagate_residual``."""
+    points = np.asarray(points, dtype=float)
+    tally = Counter() if tally is None else tally
+    if metric == "geodesic":
+        points, tally["unfold_iters"], tally["unfold_stop"] = unfold(
+            points, smacof_iters, smacof_tol
+        )
+    elif metric != "euclidean":
+        raise ValueError(f"unknown metric: {metric}")
+    wm = reconstruction_weights(points, k)
+    _count_rows(tally, wm)
+    soft = propagate(wm, initial_labels, n_classes, tol=propagate_tol, tally=tally)
     return np.argmax(soft, axis=1), soft
 
 

@@ -377,11 +377,10 @@ def stage_predict(config: PipelineConfig) -> dict:
     k = min(config.lnp_k, len(ids) - 1)
     hits = lnp.MEMO_HITS.copy()
     tally = Counter()
-    wm = lnp.metric_weights(
-        coords, k, config.lnp_metric, config.smacof_iters, config.smacof_tol, tally
+    predicted, soft = lnp.predict(
+        coords, initial, len(classes), k, config.lnp_metric, config.propagate_tol,
+        config.smacof_iters, config.smacof_tol, tally,
     )
-    soft = lnp.propagate(wm, initial, len(classes), tol=config.propagate_tol, tally=tally)
-    predicted = np.argmax(soft, axis=1)
     header = ["entity", "class"] + [f"score_{i + 1}" for i in range(len(classes))]
     _write_csv(
         _work(config, "predictions.csv"),
@@ -686,8 +685,11 @@ def _check_mds(config: PipelineConfig) -> tuple[bool, str]:
         recovered = mf.classical_mds(dist, d)
         worst_classical = max(worst_classical, synth.procrustes_residual(recovered, pts))
         if trial < 5:
-            coords, history = mf.smacof_mds(dist, d, rng)
-            monotone = monotone and bool(np.all(np.diff(history) <= 0.0))
+            # the lowest-stress run of a few random starts, each to tol: one
+            # start can stop in a local minimum
+            runs = [mf.smacof_mds(dist, d, rng, iters=20_000, tol=1e-12) for _ in range(3)]
+            monotone = monotone and all(bool(np.all(np.diff(h) <= 0.0)) for _, h in runs)
+            coords, _ = min(runs, key=lambda run: run[1][-1])
             worst_smacof = max(worst_smacof, synth.procrustes_residual(coords, recovered))
     ok = worst_classical < 1e-8 and worst_smacof < 1e-6 and monotone
     return ok, (
@@ -781,8 +783,9 @@ CHAIN = [name for name in STAGES if name != "verify"]
 
 def run_stage(name: str, config: PipelineConfig) -> dict:
     """Run one stage: check inputs, remove its declared outputs, execute,
-    clean up on failure, and append a manifest record (stage, config hash,
-    seed, duration, counts, hashes)."""
+    clean up on failure (a failed verification keeps its report), and
+    append a manifest record (stage, config hash, seed, duration, counts,
+    hashes)."""
     if name == "all":
         counts = {}
         for stage in CHAIN:
@@ -814,6 +817,8 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
         started = time.time()
         try:
             counts = stage.fn(config)
+        except VerificationFailure:
+            raise  # its report names the failing checks
         except Exception:
             for path in outputs:
                 path.unlink(missing_ok=True)

@@ -129,6 +129,42 @@ class TestReconstructionWeights:
         diffs = pts[0] - pts[wm.indices[0]]
         assert wm.weights[0] @ diffs @ diffs.T @ wm.weights[0] < 1e-12
 
+    def test_collinear_cloud_gets_the_simplex_optimum(self):
+        """Every 2-neighbor Gram matrix of collinear points is singular, yet
+        some still get a Cholesky factor through rounding; the pivot test
+        sends every row to a fallback ridge, so each settles on the
+        brute-force simplex optimum."""
+        rng = np.random.default_rng(1000)
+        pts = rng.standard_normal((34, 1)) @ rng.standard_normal((1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wm = reconstruction_weights(pts, 2)
+        assert wm.unsettled_rows.size == 0
+        for i in range(len(pts)):
+            oracle = brute_force_lnp_weights(pts[i], pts[wm.indices[i]])
+            np.testing.assert_allclose(wm.weights[i], oracle, atol=1e-6)
+
+    @pytest.mark.parametrize("seed,k", [(8, 6), (12, 8), (20, 7), (22, 6), (23, 6), (26, 7)])
+    def test_rank_five_clouds_in_50d_settle(self, seed, k):
+        """k above the cloud's rank of 5, but below d = 50, so no structural
+        ridge: a Gram matrix singular up to rounding can still get a
+        Cholesky factor, and taken as regular it leaves a row unsettled or
+        off the simplex. The pivot test catches these, and every row meets
+        the KKT conditions of its simplex problem."""
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wm = reconstruction_weights(pts, k)
+        for i in range(len(pts)):
+            diffs = pts[i] - pts[wm.indices[i]]
+            gram = diffs @ diffs.T
+            scale = np.trace(gram) / k
+            grad = gram @ wm.weights[i]
+            value = wm.weights[i] @ grad
+            assert grad.min() >= value - 1e-9 * scale
+            np.testing.assert_allclose(grad[wm.weights[i] > 0], value, atol=1e-9 * scale)
+
     def test_unsettled_rows_are_counted(self, monkeypatch):
         """With one active-set round, rows whose unconstrained weights have
         a negative entry take their first free solve unsettled; that is
@@ -141,6 +177,7 @@ class TestReconstructionWeights:
         tally = Counter()
         with pytest.warns(UserWarning, match="did not settle"):
             predict(pts, {0: 0, 1: 1}, 2, k=2, tally=tally)
+        assert 0.0 <= tally.pop("propagate_residual") <= 1e-9
         assert tally == {"fallback_rows": 0, "unsettled_rows": wm.unsettled_rows.size}
 
     def test_stuck_rows_take_the_positive_unconstrained_part(self, monkeypatch):
@@ -219,10 +256,14 @@ class TestMemo:
         pts = np.random.default_rng(4).standard_normal((12, 2))
         reconstruction_weights(pts, 3)
         hits = lnp.MEMO_HITS["reconstruction_weights"]
-        monkeypatch.setattr(lnp, "MAX_PIVOT_ROUNDS", lnp.MAX_PIVOT_ROUNDS + 1)
-        reconstruction_weights(pts, 3)
+        changed = {"STRUCTURAL_RIDGE": 2e-3, "FALLBACK_RIDGES": (1e-9, 1e-3),
+                   "SINGULAR_TOL": 1e-11, "MAX_PIVOT_ROUNDS": lnp.MAX_PIVOT_ROUNDS + 1,
+                   "DUAL_TOL": 1e-11}
+        for name, value in changed.items():
+            monkeypatch.setattr(lnp, name, value)
+            reconstruction_weights(pts, 3)
         assert lnp.MEMO_HITS["reconstruction_weights"] == hits
-        assert len(lnp.MEMO) == 2
+        assert len(lnp.MEMO) == 1 + len(changed)
 
     def test_stays_within_its_bound(self):
         """The least recently used result is dropped first."""
@@ -489,6 +530,7 @@ class TestPredict:
         pts = np.vstack([[[0.0, 0.0], [0.0, 0.0]], cloud])
         tally = Counter()
         predict(pts, {0: 0, 5: 1}, 2, k=2, tally=tally)
+        assert 0.0 <= tally.pop("propagate_residual") <= 1e-9
         assert tally == {"fallback_rows": 2, "unsettled_rows": 0}
 
     def test_unknown_metric_rejected(self):

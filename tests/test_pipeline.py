@@ -22,6 +22,7 @@ from relop.pipeline import (
     CHAIN,
     DataError,
     VerificationFailure,
+    _check_mds,
     _check_weights,
     data_path,
     run_stage,
@@ -428,6 +429,15 @@ class TestVerifyStage:
         (Path(tmp_path) / "model.bin").write_bytes(b"RELOPOWE" + b"\x00" * 17)
         args = ["verify", "--workdir", str(tmp_path)]
         assert main(args) == 3
+        report = (Path(tmp_path) / "verify_report.txt").read_text()
+        assert "FAIL oowe_gradients" in report
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mds_check_passes(self, seed):
+        """Seeds at which one random SMACOF start of 500 iterations stopped
+        short of the bound; the best of three starts run to tol passes."""
+        ok, detail = _check_mds(PipelineConfig(master_seed=seed))
+        assert ok, detail
 
     @pytest.mark.parametrize("seed", [3, 16, 56])
     def test_weight_check_certifies_hard_seeds(self, seed):
