@@ -64,18 +64,21 @@ def tweet_vector(
     vocab: Vocabulary,
     tokens: Iterable[str],
     exclude: Optional[set[str]] = None,
+    tally: Optional[Counter] = None,
 ) -> Optional[np.ndarray]:
     """Centroid of the tweet's in-vocabulary token embeddings.
 
     Opinion-labeled hashtags (``exclude``) and out-of-vocabulary tokens are
-    skipped; returns None when no usable token remains.
+    skipped; returns None when no usable token remains. ``tally``, when
+    given, adds the tokens not excluded (``tokens``) and those of them
+    skipped as out of vocabulary (``oov_tokens``).
     """
     exclude = exclude or set()
-    rows = [
-        model.embeddings[vocab.index[t]]
-        for t in tokens
-        if t not in exclude and t in vocab
-    ]
+    kept = [t for t in tokens if t not in exclude]
+    rows = [model.embeddings[vocab.index[t]] for t in kept if t in vocab]
+    if tally is not None:
+        tally["tokens"] += len(kept)
+        tally["oov_tokens"] += len(kept) - len(rows)
     if not rows:
         return None
     return exact_mean(rows)
@@ -121,6 +124,7 @@ class AggregateResult:
     state_points: list[OpinionPoint]
     state_user_vectors: dict[str, list[np.ndarray]]
     skipped: int
+    oov_rate: float
 
 
 def aggregate_corpus(
@@ -131,7 +135,9 @@ def aggregate_corpus(
 ) -> AggregateResult:
     """Roll tweets (id, user_id, state, tokens) up to the three levels.
 
-    ``skipped`` counts tweets with no usable token. Users are pinned to
+    ``skipped`` counts tweets with no usable token, and ``oov_rate`` is the
+    share of the tweets' tokens outside ``exclude`` that are out of
+    vocabulary (0 when there is none). Users are pinned to
     their majority state; users with no resolvable state stay out of the
     state level.
     """
@@ -139,8 +145,9 @@ def aggregate_corpus(
     by_user: dict[str, list[np.ndarray]] = {}
     user_states: dict[str, list[str]] = {}
     skipped = 0
+    tally: Counter = Counter()
     for tweet_id, user_id, state, tokens in tweets:
-        vec = tweet_vector(model, vocab, tokens, exclude)
+        vec = tweet_vector(model, vocab, tokens, exclude, tally)
         if vec is None:
             skipped += 1
             continue
@@ -161,7 +168,8 @@ def aggregate_corpus(
         OpinionPoint(state, "state", state_vector(vecs), len(vecs))
         for state, vecs in sorted(by_state.items())
     ]
-    return AggregateResult(tweet_points, user_points, state_points, by_state, skipped)
+    oov_rate = tally["oov_tokens"] / tally["tokens"] if tally["tokens"] else 0.0
+    return AggregateResult(tweet_points, user_points, state_points, by_state, skipped, oov_rate)
 
 
 def state_summaries(

@@ -7,6 +7,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -77,21 +78,18 @@ def build_cooccurrence(corpus: Iterable[Iterable[str]]) -> HashtagGraph:
     ``corpus`` yields per-tweet token lists; only '#'-prefixed tokens are
     used, deduplicated within each tweet so a pair counts once per tweet.
     """
-    graph = HashtagGraph()
+    counts: dict[str, int] = {}
+    pairs: dict[tuple[str, str], int] = {}
+    n_tweets = 0
     for tokens in corpus:
-        graph.n_tweets += 1
+        n_tweets += 1
         tags = sorted({t for t in tokens if t.startswith("#")})
         for tag in tags:
-            graph.counts[tag] = graph.counts.get(tag, 0) + 1
-        for a_idx in range(len(tags)):
-            for b_idx in range(a_idx + 1, len(tags)):
-                key = (tags[a_idx], tags[b_idx])
-                edge = graph.edges.get(key)
-                if edge is None:
-                    graph.edges[key] = CoocEdge(key[0], key[1], 1)
-                else:
-                    edge.k += 1
-    return graph
+            counts[tag] = counts.get(tag, 0) + 1
+        for pair in combinations(tags, 2):
+            pairs[pair] = pairs.get(pair, 0) + 1
+    edges = {pair: CoocEdge(pair[0], pair[1], k) for pair, k in pairs.items()}
+    return HashtagGraph(counts=counts, edges=edges, n_tweets=n_tweets)
 
 
 def edge_pvalue(n_i: int, n_j: int, k: int, n_total: int) -> float:
@@ -230,13 +228,14 @@ def classify_tweet(hashtags: Iterable[str], labels: dict[str, OpinionLabel]) -> 
     the side's Support category; ties across sides are Mixed; tweets with no
     labeled hashtag are Unidentified.
     """
-    tally: Counter[OpinionLabel] = Counter()
-    for tag in hashtags:
-        lab = labels.get(tag)
-        if lab is not None:
-            tally[lab] += 1
-    if not tally:
+    found = [labels[tag] for tag in hashtags if tag in labels]
+    if not found:
         return OpinionLabel.UNIDENTIFIED
+    if found.count(found[0]) == len(found):  # one label occurs: it leads alone
+        return found[0]
+    tally: dict[OpinionLabel, int] = {}
+    for lab in found:
+        tally[lab] = tally.get(lab, 0) + 1
     top = max(tally.values())
     leaders = frozenset(lab for lab, c in tally.items() if c == top)
     if len(leaders) == 1:
@@ -270,7 +269,7 @@ def label_tweets(
     counts = {lab.value: 0 for lab in OpinionLabel}
     examples: list[tuple[list[str], int]] = []
     for tokens in corpus:
-        category = classify_tweet((t for t in tokens if t.startswith("#")), labels)
+        category = classify_tweet([t for t in tokens if t.startswith("#")], labels)
         counts[category.value] += 1
         if category in index:
             kept = [t for t in tokens if t not in labels]

@@ -7,8 +7,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 logger = logging.getLogger("relop")
 
@@ -19,10 +18,13 @@ _URL_RE = re.compile(r"^(https?://|www\.)", re.IGNORECASE)
 _EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 _LEAD_PUNCT_RE = re.compile(r"^[^\w#@]+", re.UNICODE)
 _TRAIL_PUNCT_RE = re.compile(r"[^\w]+$", re.UNICODE)
+# fields every post record carries, none of them null
+_REQUIRED = ("id", "text", "user_id", "client")
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
+    # a tuple: cheaper to build than a frozen dataclass, which sets each
+    # field through object.__setattr__, and parse_posts builds one per line
     id: str
     text: str
     user_id: str
@@ -32,8 +34,8 @@ class Post:
     timestamp: int = 0
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    # a tuple, so hashing one (as the per-stage memos do) runs in C
     surface: str
     kind: str  # word | hashtag | mention | url
 
@@ -42,13 +44,14 @@ def parse_posts(lines: Iterable[str]) -> tuple[list[Post], int]:
     """Parse JSON-Lines post records.
 
     Each line must carry ``id``, ``text``, ``user_id``, ``client`` and ``ts``;
-    ``geo`` and ``profile_location`` may be null. Malformed lines are counted
-    and skipped with a warning.
+    ``geo`` and ``profile_location`` may be null. Malformed lines, null
+    required fields among them, are counted and skipped with a warning.
 
     Returns
     -------
     (posts, skipped) : list of valid posts and the number of skipped lines.
     """
+    decode = json.JSONDecoder().decode
     posts: list[Post] = []
     skipped = 0
     for lineno, line in enumerate(lines, start=1):
@@ -56,7 +59,10 @@ def parse_posts(lines: Iterable[str]) -> tuple[list[Post], int]:
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = decode(line)
+            nulls = [key for key in _REQUIRED if rec[key] is None]
+            if nulls:
+                raise ValueError(f"null {', '.join(nulls)}")
             post = Post(
                 id=str(rec["id"]),
                 text=str(rec["text"]),
@@ -118,24 +124,39 @@ def content_tokens(tokens: Iterable[Token]) -> list[str]:
     return [t.surface for t in tokens if t.kind in ("word", "hashtag")]
 
 
-def _mentions(tokens: list[Token], group: list[str]) -> bool:
+def _mentions(token: Token, group: list[str]) -> bool:
     # words must equal a keyword; hashtags/mentions only need to contain one
-    for t in tokens:
-        if t.kind == "word":
-            if t.surface in group:
-                return True
-        elif t.kind != "url" and any(kw in t.surface for kw in group):
-            return True
-    return False
+    if token.kind == "word":
+        return token.surface in group
+    return token.kind != "url" and any(kw in token.surface for kw in group)
 
 
-def filter_relevant(tokens: list[Token], group_a: list[str], group_b: list[str]) -> bool:
+def filter_relevant(
+    tokens: list[Token],
+    group_a: list[str],
+    group_b: list[str],
+    memo: Optional[dict[Token, int]] = None,
+) -> bool:
     """Whether a post's tokens mention at least one keyword from each group.
 
     Matching is at token boundaries: a word token must equal the keyword,
-    while hashtag/mention tokens match on containment.
+    while hashtag/mention tokens match on containment. ``memo`` maps tokens
+    already seen to which groups they mention (bit 1: group a, bit 2: group
+    b); pass one dict to every call with the same groups so each distinct
+    token is tested once.
     """
-    return _mentions(tokens, group_a) and _mentions(tokens, group_b)
+    if memo is None:
+        memo = {}
+    found = 0
+    for token in tokens:
+        try:
+            bits = memo[token]
+        except KeyError:
+            bits = memo[token] = _mentions(token, group_a) | 2 * _mentions(token, group_b)
+        found |= bits
+        if found == 3:
+            return True
+    return False
 
 
 def filter_bots(post: Post, official_clients: set[str]) -> bool:
@@ -157,6 +178,8 @@ class Gazetteer:
             raise ValueError(f"gazetteer contains unknown region codes: {sorted(unknown)}")
         self.entries = entries
         self.max_words = max((name.count(" ") + 1 for name in entries), default=1)
+        # a match can only start at a word that begins some entry
+        self.first_words = frozenset(name.split(" ", 1)[0] for name in entries)
         self._resolved: dict[str, Optional[str]] = {}
 
     @classmethod
@@ -189,7 +212,10 @@ def _scan_words(words: list[str], gazetteer: Gazetteer, min_len: int = 3) -> Opt
     # longest n-gram wins at each position, leftmost position wins overall;
     # entries shorter than min_len (bare region codes: "in", "or", "me", ...)
     # collide with everyday words, so free-text scans skip them
-    for start in range(len(words)):
+    first_words = gazetteer.first_words
+    for start, word in enumerate(words):
+        if word not in first_words:
+            continue
         for n in range(min(gazetteer.max_words, len(words) - start), 0, -1):
             name = " ".join(words[start : start + n])
             if len(name) < min_len:

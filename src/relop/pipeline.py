@@ -112,11 +112,12 @@ def _read_entity_csv(path: Path) -> dict[str, str]:
 
 def _read_clean_corpus(path: Path) -> Iterator[dict]:
     """The records of ``clean.jsonl``, read one line at a time."""
+    decode = json.JSONDecoder().decode
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield decode(line)
 
 
 def _write_vocab(path: Path, vocab: Vocabulary) -> None:
@@ -217,11 +218,14 @@ def stage_ingest(config: PipelineConfig) -> dict:
     with open(input_path(config, "corpus.jsonl"), encoding="utf-8") as fh:
         posts, skipped = parse_posts(fh)
     n_relevant = n_official = n_state = 0
-    memo: dict = {}  # chunk -> token, shared by every post of this stage only
+    # chunk -> token and token -> keyword groups, shared by every post of this stage only
+    memo: dict = {}
+    relevance: dict = {}
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(_work(config, "clean.jsonl"), "w", encoding="utf-8") as fh:
         for post in posts:
             tokens = tokenize(post.text, memo)
-            if not filter_relevant(tokens, group_a, group_b):
+            if not filter_relevant(tokens, group_a, group_b, relevance):
                 continue
             n_relevant += 1
             if not filter_bots(post, clients):
@@ -235,7 +239,7 @@ def stage_ingest(config: PipelineConfig) -> dict:
                 "state": state,
                 "tokens": content_tokens(tokens),
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(encode(record) + "\n")
     return {
         "parsed": len(posts),
         "skipped": skipped,
@@ -352,6 +356,7 @@ def stage_aggregate(config: PipelineConfig) -> dict:
         "user_points": len(result.user_points),
         "state_points": len(result.state_points),
         "skipped_tweets": result.skipped,
+        "oov_rate": round(result.oov_rate, 6),
     }
 
 

@@ -188,3 +188,16 @@ class TestHelpers:
             ca.vector, user_vector([tweet_vector(model, vocab, ["w1", "w2"]),
                                     tweet_vector(model, vocab, ["w3"])])
         )
+
+    def test_oov_rate_counts_tokens_outside_exclude(self, model_and_vocab):
+        model, vocab = model_and_vocab
+        tweets = [
+            ("t1", "u1", "CA", ["w1", "unseen", "#labeled", "#labeled"]),
+            ("t2", "u2", None, ["#labeled"]),
+            ("t3", "u3", "NY", ["gone", "gone", "w2"]),
+        ]
+        result = aggregate_corpus(model, vocab, tweets, exclude={"#labeled"})
+        assert result.oov_rate == 3 / 5  # "unseen" and "gone" twice, of 5 tokens kept
+        assert result.skipped == 1
+        assert aggregate_corpus(model, vocab, tweets[1:2], exclude={"#labeled"}).oov_rate == 0.0
+        assert aggregate_corpus(model, vocab, tweets).oov_rate == 6 / 8

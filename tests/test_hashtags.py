@@ -42,21 +42,22 @@ class TestCooccurrence:
         assert set(graph.counts) == {"#a"}
 
     def test_against_brute_force_pair_counter(self):
-        """500 random tweets versus direct pair enumeration."""
-        rng = np.random.default_rng(7)
-        tweets = [
-            [f"#t{rng.integers(30)}" for _ in range(rng.integers(0, 6))]
-            for _ in range(500)
-        ]
+        """400 random tweets mixing words, mentions and repeated hashtags
+        versus a count of every hashtag pair, tweet by tweet."""
+        rng = np.random.default_rng(17)
+        pool = [f"#t{i}" for i in range(12)] + ["word", "@m", "t3", "#"]
+        tweets = [[pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 9))]
+                  for _ in range(400)]
         graph = build_cooccurrence(tweets)
-        occurrences = Counter()
-        pairs = Counter()
-        for tweet in tweets:
-            tags = sorted(set(tweet))
-            occurrences.update(tags)
-            pairs.update(itertools.combinations(tags, 2))
-        assert graph.counts == dict(occurrences)
-        assert {key: e.k for key, e in graph.edges.items()} == dict(pairs)
+        tags = sorted({t for tweet in tweets for t in tweet if t.startswith("#")})
+        for a, b in itertools.combinations(tags, 2):
+            k = sum(a in tweet and b in tweet for tweet in tweets)
+            edge = graph.edges.get((a, b))
+            assert (edge.k if edge else 0) == k
+            if edge:
+                assert (edge.i, edge.j, edge.p, edge.s) == (a, b, 1.0, 0.0)
+        assert graph.counts == {tag: sum(tag in tweet for tweet in tweets) for tag in tags}
+        assert graph.n_tweets == 400
 
 
 class TestEdgePvalue:
@@ -321,6 +322,39 @@ class TestTweetLabeling:
     def test_three_way_tie_across_sides_is_mixed(self):
         tags = ["#maga", "#neverhillary", "#imwithher"]
         assert classify_tweet(tags, LABELS) == OpinionLabel.MIXED
+
+    def test_agrees_with_the_tie_rules_on_random_tweets(self):
+        """Single-label tweets (the shortcut) and multi-label tweets versus
+        the rules written out: a unique leader wins, a tie of one side's two
+        labels is that side's Support, any other tie is Mixed."""
+        opinions = (OpinionLabel.PRO_TRUMP, OpinionLabel.ANTI_CLINTON,
+                    OpinionLabel.PRO_CLINTON, OpinionLabel.ANTI_TRUMP)
+        labels = {f"#{lab.value}{i}": lab for lab in opinions for i in range(2)}
+        support = {
+            frozenset(opinions[:2]): OpinionLabel.SUPPORT_TRUMP,
+            frozenset(opinions[2:]): OpinionLabel.SUPPORT_CLINTON,
+        }
+
+        def rules(tags):
+            tally = Counter(labels[t] for t in tags if t in labels)
+            if not tally:
+                return OpinionLabel.UNIDENTIFIED
+            top = max(tally.values())
+            leaders = frozenset(lab for lab, c in tally.items() if c == top)
+            if len(leaders) == 1:
+                return next(iter(leaders))
+            return support.get(leaders, OpinionLabel.MIXED)
+
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(2000):
+            kinds = rng.choice(sorted(labels), size=rng.integers(1, 4), replace=False)
+            tags = [str(t) for t in rng.choice([*kinds, "#other", "#x"], size=rng.integers(0, 7))]
+            expected = rules(tags)
+            seen.add(expected)
+            assert classify_tweet(tags, labels) == expected, tags
+            assert classify_tweet(iter(tags), labels) == expected, tags
+        assert seen == set(OpinionLabel)
 
     def test_training_set_excludes_ambiguous(self):
         corpus = [

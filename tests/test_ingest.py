@@ -16,6 +16,7 @@ from relop.ingest import (
     infer_state,
     parse_posts,
     _resolve_field,
+    _scan_words,
     tokenize,
 )
 from relop.pipeline import data_path
@@ -69,6 +70,23 @@ class TestParsePosts:
         posts, _ = parse_posts([record(geo="Austin, TX", profile_location="TX")])
         assert posts[0].geo_field == "Austin, TX"
         assert posts[0].profile_location == "TX"
+
+    @pytest.mark.parametrize("key", ["id", "text", "user_id", "client"])
+    def test_null_required_field_is_malformed(self, key, caplog):
+        # str(None) would make the post's field the string "None"
+        with caplog.at_level("WARNING", logger="relop"):
+            posts, skipped = parse_posts([record(**{"text": "trump clinton", key: None}), record()])
+        assert [p.id for p in posts] == ["t1"] and skipped == 1
+        assert f"null {key}" in caplog.text
+
+    def test_all_null_record_is_malformed(self):
+        line = '{"id": null, "text": "trump clinton", "user_id": null, "client": null, "ts": 1}'
+        assert parse_posts([line]) == ([], 1)
+
+    def test_non_string_values_are_stringified(self):
+        posts, skipped = parse_posts([record(id=12345, user_id=7)])
+        assert skipped == 0
+        assert (posts[0].id, posts[0].user_id) == ("12345", "7")
 
 
 class TestTokenize:
@@ -185,6 +203,25 @@ class TestFilterRelevant:
         ]
         assert [p for p in posts if relevant(p.text)] == expected
 
+    def test_shared_memo_matches_the_memo_free_call(self):
+        """One memo over a whole corpus, as ``relop ingest`` keeps it, decides
+        each post as a memo-free call does."""
+        rng = np.random.default_rng(12)
+        terms = [
+            "trump", "Trump!", "trumpet", "#nevertrump", "@realDonaldTrump", "donaldtrump",
+            "clinton", "Hillary,", "hillaryclintons", "#imwithher", "@HillaryClinton",
+            "#hillary", "http://trump.com", "www.clinton.org", "vote", "#debate", "@cnn",
+        ]
+        corpus = gen_opinion_corpus(SynthCorpusConfig(tweets_per_class=100, seed=8))
+        texts = [p.text for p in corpus.posts]
+        texts += [" ".join(terms[i] for i in rng.integers(0, len(terms), 6)) for _ in range(300)]
+        memo = {}
+        decided = [filter_relevant(tokenize(t), GROUP_A, GROUP_B, memo) for t in texts]
+        assert decided == [filter_relevant(tokenize(t), GROUP_A, GROUP_B) for t in texts]
+        assert any(decided) and not all(decided)
+        # a warm memo decides every post again the same way
+        assert decided == [filter_relevant(tokenize(t), GROUP_A, GROUP_B, memo) for t in texts]
+
 
 class TestFilterBots:
     def test_official_retained(self):
@@ -228,6 +265,30 @@ class TestInferState:
     def test_rejects_unknown_codes(self):
         with pytest.raises(ValueError):
             Gazetteer({"atlantis": "ZZ"})
+
+    @pytest.mark.parametrize("min_len", [1, 3])
+    def test_indexed_scan_equals_brute_force_ngram_scan(self, gazetteer, min_len):
+        """The scan that starts only at entries' first words finds the
+        leftmost, then longest, entry among all n-grams of the word list."""
+
+        def brute_force(words):
+            hits = [
+                (start, start - stop, gazetteer.entries[name])
+                for start in range(len(words))
+                for stop in range(start + 1, len(words) + 1)
+                if (name := " ".join(words[start:stop])) in gazetteer.entries
+                and len(name) >= min_len
+            ]
+            return min(hits)[2] if hits else None
+
+        names = [name.split() for name in gazetteer.entries]
+        pieces = names + [words[:n] for words in names for n in range(1, len(words))]
+        pieces += [[w] for words in names for w in words]
+        pieces += [[w] for w in ("vote", "rally", "the", "in", "city", "north", "saint")]
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            words = [w for i in rng.integers(0, len(pieces), rng.integers(0, 6)) for w in pieces[i]]
+            assert _scan_words(words, gazetteer, min_len) == brute_force(words), words
 
     def test_resolve_equals_resolve_field_on_every_call(self, gazetteer):
         fresh = Gazetteer.from_csv(data_path("gazetteer.csv"))

@@ -289,6 +289,17 @@ class TestPipelineChain:
         assert records["hashtag-net"]["lpa_settled"] is True
         assert 0.0 <= records["predict"]["propagate_residual"] <= PipelineConfig().propagate_tol
 
+    def test_aggregate_counts_the_oov_rate(self, chain_dirs):
+        workdir = Path(chain_dirs["a"])
+        labeled = {line.split(",")[0] for line in (workdir / "hashtag_labels.csv").open()}
+        vocab = {line.split("\t")[0] for line in (workdir / "vocab.tsv").open()}
+        kept = [t for line in (workdir / "clean.jsonl").open()
+                for t in json.loads(line)["tokens"] if t not in labeled]
+        oov = sum(t not in vocab for t in kept)
+        counts = {r["stage"]: r["counts"] for r in _manifest(workdir)}["aggregate"]
+        assert 0 < oov < len(kept)
+        assert counts["oov_rate"] == round(oov / len(kept), 6)
+
     def test_predictions_schema(self, chain_dirs):
         lines = Path(chain_dirs["a"], "predictions.csv").read_text().splitlines()
         assert lines[0] == "entity,class,score_1,score_2"
@@ -413,6 +424,26 @@ class TestIngestStage:
         args = ["ingest", "--workdir", str(tmp_path), "--official_clients_file", str(clients)]
         assert main(args) == 2
         assert not Path(tmp_path, "clean.jsonl").exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_corpus_stages_reproduce_the_golden_artifacts(tmp_path):
+    """``tests/golden/posts.jsonl`` is a hand-made stream: keywords as words,
+    hashtags, mentions and inside a URL, multi-word places in the text, geo
+    and profile fields, bot clients and malformed lines. The three corpus
+    stages must write exactly the committed artifacts. ``p_o`` is raised
+    because at the default no edge of a 35-tweet corpus is significant."""
+    config = PipelineConfig(
+        workdir=str(tmp_path), corpus=str(GOLDEN / "posts.jsonl"), master_seed=7, p_o=0.01
+    )
+    counts = {stage: run_stage(stage, config) for stage in ("ingest", "hashtag-net", "label-tweets")}
+    for name in ("clean.jsonl", "hashtag_labels.csv", "training_set.tsv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert counts["ingest"]["skipped"] == 5
+    assert counts["hashtag-net"]["significant_edges"] > 0
+    assert counts["label-tweets"]["mixed"] == counts["label-tweets"]["support_trump"] == 1
 
 
 class TestVerifyStage:
