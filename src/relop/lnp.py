@@ -264,10 +264,11 @@ def unfold(
     m = min(d, n - 1) axes, so the unfolding is deterministic; its update
     keeps a zero column zero, so it runs in those m axes, and the result is
     zero-padded to d. Returns (coords, iterations, stop): the accepted
-    SMACOF steps and why they ended, ``"tol"`` (a step improved the stress
-    by less than ``tol`` relative), ``"cap"`` (``iters`` steps) or
-    ``"rejected"`` (a step failed to improve at numerical precision). A
-    repeat call returns the memoized result, whose coordinates are read-only."""
+    SMACOF steps and why ``smacof_mds`` ended them, ``"tol"`` (a step
+    improved the stress by less than ``tol`` times Σ_{i<j} dist_ij²),
+    ``"cap"`` (``iters`` steps) or ``"rejected"`` (a step failed to improve
+    at numerical precision). A repeat call returns the memoized result,
+    whose coordinates are read-only."""
     points = np.asarray(points, dtype=float)
 
     def run() -> tuple[np.ndarray, int, str]:
@@ -275,17 +276,12 @@ def unfold(
         m = min(d, n - 1)
         dist = geodesic_distances(points)
         start = mf.classical_mds(dist, m, pad_warning=False)
-        coords, history = smacof_mds(dist, m, None, iters=iters, tol=tol, init=start)
-        steps = len(history) - 1
-        if steps and history[-2] - history[-1] < tol * max(history[-2], 1e-300):
-            stop = "tol"
-        elif steps < iters:
-            stop = "rejected"
-        else:
-            stop = "cap"
+        coords, history, stop = smacof_mds(
+            dist, m, None, iters=iters, tol=tol, init=start, return_stop=True
+        )
         coords = np.pad(coords, ((0, 0), (0, d - m)))
         _read_only(coords)
-        return coords, steps, stop
+        return coords, len(history) - 1, stop
 
     return _memoized("unfold", points, (iters, tol), run)
 

@@ -6,14 +6,31 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 def pairwise_euclidean(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    d = cdist(points, points)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return _distances(np.asarray(points, dtype=float))
+
+
+_BLOCK = 1 << 20  # entries of the (m, rows, n) difference array one block may hold
+
+
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a float array, bit for bit
+    those of ``scipy.spatial.distance.cdist``: the squared differences are
+    added one coordinate at a time, in order, by a reduction over the
+    leading axis. That axis must be the slowest in memory, hence the
+    contiguous copy: numpy adds the fastest axis pairwise. Rows go in
+    blocks, so the difference array stays within ``_BLOCK`` entries."""
+    cols = np.ascontiguousarray(points.T)
+    m, n = cols.shape
+    out = np.empty((n, n))
+    step = max(1, _BLOCK // max(m * n, 1))
+    for lo in range(0, n, step):
+        diff = cols[:, lo : lo + step, None] - cols[:, None, :]
+        np.square(diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=0), out=out[lo : lo + step])
+    return out
 
 
 def geodesic_distances(points: np.ndarray, return_neighbor_size: bool = False):
@@ -103,16 +120,19 @@ def smacof_mds(
     iters: int = 500,
     tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    return_stop: bool = False,
+):
     """Stress majorization from ``init``, or else from a random start drawn
-    from ``rng``; returns (coords, stress_history).
+    from ``rng``; returns (coords, stress_history), and with ``return_stop``
+    also why iteration ended.
 
     Majorization guarantees the raw stress never increases; an update that
-    fails to improve at numerical precision is rejected and iteration stops,
-    so the recorded history is monotone. Iteration also stops once a step
-    improves the stress by less than ``tol`` relative, or after ``iters``
-    steps. Each configuration's distances are computed once: the accepted
-    update's matrix serves the next iteration.
+    fails to improve at numerical precision is rejected and iteration stops
+    (``"rejected"``), so the recorded history is monotone. Iteration also
+    stops once a step improves the stress by less than ``tol`` times
+    Σ_{i<j} dist_ij², the scale of Kruskal's normalized stress (``"tol"``),
+    or after ``iters`` steps (``"cap"``). Each configuration's distances are
+    computed once: the accepted update's matrix serves the next iteration.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
@@ -125,23 +145,30 @@ def smacof_mds(
     def raw_stress(d_coords: np.ndarray) -> float:
         return float(np.sum(np.where(lower, 0.0, dist - d_coords) ** 2))
 
-    d_now = cdist(coords, coords)
+    # a floor keeps an all-zero dist from running to the cap
+    scale = max(float(np.sum(np.where(lower, 0.0, dist) ** 2)), 1e-300)
+    d_now = _distances(coords)
     history = [raw_stress(d_now)]
+    stop = "cap"
     for _ in range(iters):
         b = np.divide(dist, d_now, out=np.zeros((n, n)), where=d_now > 0.0)
         np.negative(b, out=b)
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         new_coords = (b @ coords) / n
-        d_new = cdist(new_coords, new_coords)
+        d_new = _distances(new_coords)
         stress = raw_stress(d_new)
         last = history[-1]
         if stress > last:
-            break  # at the numerical floor: keep the better configuration
+            stop = "rejected"  # at the numerical floor: keep the better configuration
+            break
         coords, d_now = new_coords, d_new
         history.append(stress)
-        if last - stress < tol * max(last, 1e-300):
+        if last - stress < tol * scale:
+            stop = "tol"
             break
+    if return_stop:
+        return coords, np.array(history), stop
     return coords, np.array(history)
 
 

@@ -691,8 +691,9 @@ def _check_mds(config: PipelineConfig) -> tuple[bool, str]:
         worst_classical = max(worst_classical, synth.procrustes_residual(recovered, pts))
         if trial < 5:
             # the lowest-stress run of a few random starts, each to tol: one
-            # start can stop in a local minimum
-            runs = [mf.smacof_mds(dist, d, rng, iters=20_000, tol=1e-12) for _ in range(3)]
+            # start can stop in a local minimum. tol is against Σd², so the
+            # 1e-6 residual bound needs steps of 1e-17 of it
+            runs = [mf.smacof_mds(dist, d, rng, iters=20_000, tol=1e-17) for _ in range(3)]
             monotone = monotone and all(bool(np.all(np.diff(h) <= 0.0)) for _, h in runs)
             coords, _ = min(runs, key=lambda run: run[1][-1])
             worst_smacof = max(worst_smacof, synth.procrustes_residual(coords, recovered))

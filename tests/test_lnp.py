@@ -302,10 +302,10 @@ class TestUnfold:
     def test_arc_unrolls_to_arc_length(self):
         t = np.linspace(0.2, np.pi - 0.2, 60)
         arc = np.column_stack([np.cos(t), np.sin(t)])
-        # the Torgerson start is already near-isometric (stress ~1e-10), and
-        # SMACOF shrinks its stress by a constant fraction per step, short of
-        # the relative tol; 500 steps keep the test fast
-        coords, _, _ = unfold(arc, iters=500)
+        # the Torgerson start is already near-isometric (stress ~1e-10), so
+        # a step's gain is far below tol against Σd² at once
+        coords, steps, stop = unfold(arc)
+        assert stop == "tol" and steps <= 10
         got = pairwise_euclidean(coords)
         want = pairwise_euclidean(t.reshape(-1, 1))  # arc length on unit circle
         iu = np.triu_indices(60, 1)

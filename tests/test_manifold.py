@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -42,6 +47,39 @@ class TestPairwiseEuclidean:
         d = pairwise_euclidean(pts)
         np.testing.assert_array_equal(d, d.T)
         np.testing.assert_array_equal(np.diag(d), np.zeros(30))
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, 23, 50])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    def test_bit_identical_to_cdist(self, m, scale):
+        """cdist adds the squared differences one coordinate at a time; a
+        pairwise sum over the coordinates differs in the last bits from
+        m = 8 on. Both memory layouts of the input give cdist's bits."""
+        for seed in range(10):
+            pts = np.random.default_rng(seed).standard_normal((30, m)) * scale
+            want = cdist(pts, pts)
+            assert np.array_equal(pairwise_euclidean(pts), want)
+            assert np.array_equal(pairwise_euclidean(np.asfortranarray(pts)), want)
+
+    def test_row_blocks_give_the_same_bits(self, monkeypatch):
+        """Blocks of 7 rows, the last one short, as a cloud too large for
+        one block is split."""
+        pts = np.random.default_rng(3).standard_normal((40, 9))
+        monkeypatch.setattr(manifold, "_BLOCK", 7 * 9 * 40)
+        assert np.array_equal(pairwise_euclidean(pts), cdist(pts, pts))
+
+    def test_import_loads_no_scipy(self):
+        """The package runs on numpy alone; scipy is only the tests' oracle."""
+        src = str(Path(manifold.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, relop, relop.pipeline\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestGeodesic:
@@ -214,16 +252,26 @@ class TestSmacof:
         coords, _ = smacof_mds(d, 2, np.random.default_rng(1), iters=2000, tol=1e-14)
         assert procrustes_residual(coords, classical) < 1e-6
 
+    def test_all_zero_distances_stop_at_tol(self):
+        """Σd² is 0 here; its floor still ends the run at the first step."""
+        coords, history, stop = smacof_mds(
+            np.zeros((5, 5)), 2, None, init=np.zeros((5, 2)), return_stop=True
+        )
+        assert stop == "tol" and len(history) == 2
+        np.testing.assert_array_equal(coords, np.zeros((5, 2)))
+
     @staticmethod
     def reference_loop(dist, dim, rng, iters, tol):
         """Stress majorization written plainly: every configuration's
         distances are computed twice, once for its stress and once for the
-        next update."""
+        next update, and iteration stops at a step that improves the stress
+        by less than tol times Σ_{i<j} dist_ij² (Kruskal's scale)."""
 
         def raw_stress(coords):
             delta = dist - cdist(coords, coords)
             return float(np.sum(np.triu(delta, 1) ** 2))
 
+        scale = float(np.sum(np.triu(dist, 1) ** 2))
         n = dist.shape[0]
         coords = rng.standard_normal((n, dim)) * ((float(dist.max()) or 1.0) / 4.0)
         history = [raw_stress(coords)]
@@ -241,7 +289,7 @@ class TestSmacof:
             coords = new_coords
             improvement = history[-1] - stress
             history.append(stress)
-            if improvement < tol * max(history[-2], 1e-300):
+            if improvement < tol * scale:
                 break
         return coords, np.array(history)
 
@@ -254,11 +302,13 @@ class TestSmacof:
         dist = geodesic_distances(pts)
         calls = []
 
+        distances = manifold._distances
+
         def counted(*args, **kwargs):
             calls.append(1)
-            return cdist(*args, **kwargs)
+            return distances(*args, **kwargs)
 
-        monkeypatch.setattr(manifold, "cdist", counted)
+        monkeypatch.setattr(manifold, "_distances", counted)
         coords, history = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
         monkeypatch.undo()
         assert len(calls) == len(history)
