@@ -12,8 +12,9 @@ import numpy as np
 from . import manifold as mf
 from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_mds
 
-# structurally rank-deficient local Gram systems (k above the ambient
-# dimension) get the standard LLE conditioning; otherwise the system is
+# structurally rank-deficient local Gram systems (k above the points' width,
+# which for an unfolded cloud is its rank) get the standard LLE
+# conditioning; otherwise the system is
 # solved exactly, and a singular one takes the first of the fallback ridges
 # (times its mean diagonal) that makes it nonsingular
 STRUCTURAL_RIDGE = 1e-3
@@ -258,28 +259,28 @@ def unfold(
     points: np.ndarray, iters: int = 50_000, tol: float = 1e-9
 ) -> tuple[np.ndarray, int, str]:
     """Flatten the point cloud by embedding its geodesic distances via
-    stress-majorization MDS at the original dimensionality d.
+    stress-majorization MDS in the cloud's own axes.
 
-    SMACOF starts from the Torgerson configuration (``classical_mds``) in
-    m = min(d, n - 1) axes, so the unfolding is deterministic; its update
-    keeps a zero column zero, so it runs in those m axes, and the result is
-    zero-padded to d. Returns (coords, iterations, stop): the accepted
-    SMACOF steps and why ``smacof_mds`` ended them, ``"tol"`` (a step
-    improved the stress by less than ``tol`` times Σ_{i<j} dist_ij²),
-    ``"cap"`` (``iters`` steps) or ``"rejected"`` (a step failed to improve
-    at numerical precision). A repeat call returns the memoized result,
-    whose coordinates are read-only."""
+    SMACOF starts from the Torgerson configuration (``classical_mds``) of at
+    most m = min(d, n - 1) axes, of which it keeps only those with positive
+    eigenvalues, so the unfolding is deterministic and its width is its
+    rank: ``reconstruction_weights`` sees that width. The dropped axes
+    would be zero columns, which SMACOF's update keeps at zero. Returns
+    (coords, iterations, stop): the accepted SMACOF steps and why
+    ``smacof_mds`` ended them, ``"tol"`` (a step improved the stress by
+    less than ``tol`` times Σ_{i<j} dist_ij²), ``"cap"`` (``iters`` steps)
+    or ``"rejected"`` (a step failed to improve at numerical precision). A
+    repeat call returns the memoized result, whose coordinates are
+    read-only."""
     points = np.asarray(points, dtype=float)
 
     def run() -> tuple[np.ndarray, int, str]:
         n, d = points.shape
-        m = min(d, n - 1)
         dist = geodesic_distances(points)
-        start = mf.classical_mds(dist, m, pad_warning=False)
+        start = mf.classical_mds(dist, min(d, n - 1))
         coords, history, stop = smacof_mds(
-            dist, m, None, iters=iters, tol=tol, init=start, return_stop=True
+            dist, start.shape[1], None, iters=iters, tol=tol, init=start
         )
-        coords = np.pad(coords, ((0, 0), (0, d - m)))
         _read_only(coords)
         return coords, len(history) - 1, stop
 

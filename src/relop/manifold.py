@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -70,14 +69,15 @@ def geodesic_distances(points: np.ndarray, return_neighbor_size: bool = False):
     return out
 
 
-def classical_mds(dist: np.ndarray, dim: int, pad_warning: bool = True) -> np.ndarray:
+def classical_mds(dist: np.ndarray, dim: int) -> np.ndarray:
     """Torgerson MDS: double-center the squared distances and eigendecompose.
 
-    Coordinates use the top ``dim`` nonnegative eigenpairs; missing positive
-    directions are zero-padded, with a warning unless ``pad_warning`` is
-    false (non-Euclidean distances lack some by nature). Axis signs are
-    fixed by making each axis's largest-magnitude coordinate positive, so
-    the output is fully deterministic.
+    Coordinates use the top eigenpairs with positive eigenvalues, at most
+    ``dim`` of them, so the result has as many columns as the
+    configuration has real axes (non-Euclidean or rank-deficient distances
+    have fewer than ``dim``). Axis signs are fixed by making each axis's
+    largest-magnitude coordinate positive, so the output is fully
+    deterministic.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
@@ -96,16 +96,9 @@ def classical_mds(dist: np.ndarray, dim: int, pad_warning: bool = True) -> np.nd
     evecs = evecs[:, order]
     # eigenvalue dust from a rank-deficient configuration is not a real axis
     cutoff = max(float(evals[0]), 0.0) * 1e-12
-    positive = int((evals > cutoff).sum())
-    take = min(dim, positive)
-    if take < dim and pad_warning:
-        warnings.warn(
-            f"only {positive} positive eigenvalues; padding {dim - take} zero axes"
-        )
-    coords = np.zeros((n, dim))
-    if take:
-        coords[:, :take] = evecs[:, :take] * np.sqrt(evals[:take])
-    for axis in range(dim):
+    take = min(dim, int((evals > cutoff).sum()))
+    coords = evecs[:, :take] * np.sqrt(evals[:take])
+    for axis in range(take):
         col = coords[:, axis]
         peak = int(np.argmax(np.abs(col)))
         if col[peak] < 0.0:
@@ -120,11 +113,10 @@ def smacof_mds(
     iters: int = 500,
     tol: float = 1e-9,
     init: Optional[np.ndarray] = None,
-    return_stop: bool = False,
 ):
     """Stress majorization from ``init``, or else from a random start drawn
-    from ``rng``; returns (coords, stress_history), and with ``return_stop``
-    also why iteration ended.
+    from ``rng``; returns (coords, stress_history, stop), where ``stop``
+    says why iteration ended.
 
     Majorization guarantees the raw stress never increases; an update that
     fails to improve at numerical precision is rejected and iteration stops
@@ -167,9 +159,7 @@ def smacof_mds(
         if last - stress < tol * scale:
             stop = "tol"
             break
-    if return_stop:
-        return coords, np.array(history), stop
-    return coords, np.array(history)
+    return coords, np.array(history), stop
 
 
 def knn_sets(dist: np.ndarray, k: int) -> np.ndarray:

@@ -508,6 +508,7 @@ def stage_plot(config: PipelineConfig) -> dict:
     if not class_names.keys() >= set(ids):
         class_names = {}  # every state is drawn as class "state"
     flat = mf.classical_mds(mf.pairwise_euclidean(coords), 2)
+    flat = np.pad(flat, ((0, 0), (0, 2 - flat.shape[1])))  # a cloud of rank below 2
     sizes: dict[str, float] = {}
     summary_path = input_path(config, "state_summary.csv")
     if summary_path.exists():
@@ -694,8 +695,8 @@ def _check_mds(config: PipelineConfig) -> tuple[bool, str]:
             # start can stop in a local minimum. tol is against Σd², so the
             # 1e-6 residual bound needs steps of 1e-17 of it
             runs = [mf.smacof_mds(dist, d, rng, iters=20_000, tol=1e-17) for _ in range(3)]
-            monotone = monotone and all(bool(np.all(np.diff(h) <= 0.0)) for _, h in runs)
-            coords, _ = min(runs, key=lambda run: run[1][-1])
+            monotone = monotone and all(bool(np.all(np.diff(h) <= 0.0)) for _, h, _ in runs)
+            coords, _, _ = min(runs, key=lambda run: run[1][-1])
             worst_smacof = max(worst_smacof, synth.procrustes_residual(coords, recovered))
     ok = worst_classical < 1e-8 and worst_smacof < 1e-6 and monotone
     return ok, (

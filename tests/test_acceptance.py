@@ -297,7 +297,7 @@ def test_06_mds_fidelity():
     pts = rng.standard_normal((30, 3))
     dist = pairwise_euclidean(pts)
     for seed in range(50):
-        _, history = smacof_mds(dist, 3, np.random.default_rng(seed))
+        _, history, _ = smacof_mds(dist, 3, np.random.default_rng(seed))
         assert np.all(np.diff(history) <= 0.0)
     report(6, "mds fidelity", f"worst recovery residual {worst:.2e}; 50/50 monotone stress runs")
 

@@ -313,9 +313,15 @@ class TestUnfold:
         assert np.median(rel) < 0.05
 
     def test_duplicated_cluster_collapses(self):
+        """A cloud of rank 0 unfolds into no axes at all, and geodesic
+        prediction on it still names a class for every point."""
         pts = np.tile([[2.0, -1.0]], (12, 1))
         coords, _, _ = unfold(pts)
         assert pairwise_euclidean(coords).max() < 1e-9
+        assert coords.shape == (12, 0)
+        classes, soft = predict(pts, {0: 0, 1: 1}, 2, 3, metric="geodesic")
+        assert classes.shape == (12,) and set(classes.tolist()) <= {0, 1}
+        np.testing.assert_allclose(soft.sum(axis=1), 1.0)
 
     def test_bit_identical_across_calls(self):
         sample = gen_manifold("swiss_roll", 40, noise=0.0, seed=5)
@@ -341,24 +347,37 @@ class TestUnfold:
         coords, steps, got = unfold(pts, iters, tol)
         assert got == stop
         dist = geodesic_distances(pts)
-        start = classical_mds(dist, 3, pad_warning=False)
-        ref_coords, history = smacof_mds(dist, 3, None, iters, tol, init=start)
+        start = classical_mds(dist, 3)
+        ref_coords, history, ref_stop = smacof_mds(
+            dist, start.shape[1], None, iters, tol, init=start
+        )
+        assert ref_stop == stop
         np.testing.assert_array_equal(coords, ref_coords)
         assert steps == len(history) - 1
         assert (steps == iters) == (stop == "cap")
         if stop == "rejected":
             assert steps > 0
 
-    def test_pads_axes_beyond_n_minus_one_silently(self):
-        """A cloud of 24 points in 50 dimensions starts from 23 Torgerson
-        axes and 27 zero columns, with no warning for the zero axes."""
+    def test_returns_the_14_positive_axes(self):
+        """A cloud of 24 points in 50 dimensions has a geodesic Torgerson
+        start of 14 positive axes, and unfolds into those 14 columns, with
+        no warning for the axes it leaves out."""
         pts = np.random.default_rng(3).standard_normal((24, 50))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coords, _, stop = unfold(pts)
-        assert coords.shape == (24, 50)
+        assert coords.shape == (24, 14)
         assert stop == "tol"
-        assert not coords[:, 23:].any()
+        assert np.abs(coords).max(axis=0).min() > 0.1  # no dead column
+
+    def test_weights_see_the_rank(self):
+        """Above the rank, the structural ridge conditions every row, so no
+        row needs a fallback ridge; at or below it the rows that are
+        singular without the ridge still climb the ladder."""
+        pts = np.random.default_rng(3).standard_normal((24, 50))
+        coords, _, _ = unfold(pts)
+        fallback = {k: reconstruction_weights(coords, k).fallback_rows.size for k in range(2, 24)}
+        assert fallback == {k: {13: 2, 14: 17}.get(k, 0) for k in range(2, 24)}
 
 
 def chain_weights(n):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +203,16 @@ class TestClassicalMds:
         top = np.linalg.eigvalsh(b).max()
         assert np.var(coords[:, 0]) == pytest.approx(top / n, rel=1e-9)
 
-    def test_pads_missing_axes_with_warning(self):
+    def test_returns_only_the_positive_axes(self):
+        """Collinear points have one positive eigenvalue, so asking for two
+        axes gives one, with no warning."""
         d = pairwise_euclidean(np.array([[0.0], [1.0], [2.0]]))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             coords = classical_mds(d, 2)
-        np.testing.assert_array_equal(coords[:, 1], np.zeros(3))
+        assert coords.shape == (3, 1)
+        np.testing.assert_allclose(pairwise_euclidean(coords), d, atol=1e-12)
+        assert classical_mds(np.zeros((4, 4)), 2).shape == (4, 0)
 
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(6)
@@ -231,7 +237,7 @@ class TestSmacof:
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((15, 3))
         d = pairwise_euclidean(pts)
-        coords, history = smacof_mds(d, 3, rng, init=pts)
+        coords, history, _ = smacof_mds(d, 3, rng, init=pts)
         assert history[0] == pytest.approx(0.0, abs=1e-18)
         assert len(history) <= 2
         assert procrustes_residual(coords, pts) < 1e-9
@@ -241,7 +247,7 @@ class TestSmacof:
         pts = rng.standard_normal((20, 3))
         d = pairwise_euclidean(pts)
         for seed in range(10):
-            _, history = smacof_mds(d, 3, np.random.default_rng(seed))
+            _, history, _ = smacof_mds(d, 3, np.random.default_rng(seed))
             assert np.all(np.diff(history) <= 0.0)
 
     def test_matches_classical_on_euclidean_input(self):
@@ -249,14 +255,12 @@ class TestSmacof:
         pts = rng.standard_normal((25, 2))
         d = pairwise_euclidean(pts)
         classical = classical_mds(d, 2)
-        coords, _ = smacof_mds(d, 2, np.random.default_rng(1), iters=2000, tol=1e-14)
+        coords, _, _ = smacof_mds(d, 2, np.random.default_rng(1), iters=2000, tol=1e-14)
         assert procrustes_residual(coords, classical) < 1e-6
 
     def test_all_zero_distances_stop_at_tol(self):
         """Σd² is 0 here; its floor still ends the run at the first step."""
-        coords, history, stop = smacof_mds(
-            np.zeros((5, 5)), 2, None, init=np.zeros((5, 2)), return_stop=True
-        )
+        coords, history, stop = smacof_mds(np.zeros((5, 5)), 2, None, init=np.zeros((5, 2)))
         assert stop == "tol" and len(history) == 2
         np.testing.assert_array_equal(coords, np.zeros((5, 2)))
 
@@ -309,7 +313,7 @@ class TestSmacof:
             return distances(*args, **kwargs)
 
         monkeypatch.setattr(manifold, "_distances", counted)
-        coords, history = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
+        coords, history, _ = smacof_mds(dist, dim, np.random.default_rng(seed), iters, tol)
         monkeypatch.undo()
         assert len(calls) == len(history)
         ref_coords, ref_history = self.reference_loop(

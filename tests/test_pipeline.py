@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -619,6 +620,19 @@ class TestManifests:
         assert not Path(tmp_path, "pne_curve.svg").exists()
         outputs = _manifest(tmp_path)[-1]["outputs"]
         assert [Path(path).name for path in outputs] == ["scatter_states.svg"]
+
+    def test_plot_draws_a_collinear_cloud(self, tmp_path):
+        """Three collinear states have one MDS axis; the scatter pads the
+        second with zeros, draws every state and warns about nothing."""
+        names = ("AK", "HI", "ME")
+        Path(tmp_path, "points.tsv").write_text(
+            "".join(f"state\t{name}\t1\t{i}.0 {2 * i}.0 0.5\n" for i, name in enumerate(names))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", "--workdir", str(tmp_path)]) == 0
+        svg = Path(tmp_path, "scatter_states.svg").read_text(encoding="utf-8")
+        assert all(f">{name}<" in svg for name in names)
 
     def test_predict_counts_unreached_rows(self, tmp_path):
         """Labels in only one of two far clusters reach none of the other's
