@@ -317,8 +317,8 @@ def write_training_set(path, training_set: TrainingSet) -> None:
             fh.write(f"{name}\t{' '.join(tokens)}\n")
 
 
-def read_training_set(path, categories: Optional[tuple[str, ...]] = None) -> TrainingSet:
-    categories = categories or tuple(lab.value for lab in TRAINING_CATEGORIES)
+def read_training_set(path) -> TrainingSet:
+    categories = tuple(lab.value for lab in TRAINING_CATEGORIES)
     index = {name: i + 1 for i, name in enumerate(categories)}
     examples: list[tuple[list[str], int]] = []
     counts = {name: 0 for name in categories}

@@ -19,9 +19,8 @@ from .manifold import geodesic_distances, knn_sets, pairwise_euclidean, smacof_m
 # (times its mean diagonal) that makes it nonsingular
 STRUCTURAL_RIDGE = 1e-3
 FALLBACK_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3)
-# a Gram matrix is singular when its smallest Cholesky pivot squared is at
-# most this times its mean diagonal (or it has no factor); at 1e-14 a
-# rank-16 cloud in 50-D at k = 17 passed, and its solve raised
+# a Gram matrix is singular when its smallest eigenvalue is at most this
+# times its mean diagonal
 SINGULAR_TOL = 1e-12
 # active-set rounds after which a weight solve is reported unsettled
 MAX_PIVOT_ROUNDS = 200
@@ -72,48 +71,14 @@ class WeightMatrix:
         return out
 
 
-def _gram(diffs: np.ndarray, ridge: np.ndarray) -> np.ndarray:
-    """Local Gram matrices D D' + ridge I of a stack of difference arrays."""
-    gram = np.einsum("nid,njd->nij", diffs, diffs)
-    diag = np.arange(diffs.shape[1])
-    gram[:, diag, diag] += ridge[:, None]
-    return gram
-
-
-def _singular(gram: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Rows of a stack of Gram matrices that count as singular: no Cholesky
-    factor, or a smallest pivot whose square is at most ``SINGULAR_TOL``
-    times the row's ``scale``. The rows are factored one at a time only
-    when the stack as a whole has no factor."""
-    pivots = np.zeros(gram.shape[:2])
-    try:
-        pivots[:] = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        for i, matrix in enumerate(gram):
-            try:
-                pivots[i] = np.diagonal(np.linalg.cholesky(matrix))
-            except np.linalg.LinAlgError:
-                pass
-    return pivots.min(axis=1) ** 2 <= SINGULAR_TOL * scale
-
-
 def _free_solve(gram: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Solve G_FF s_F = 1 for each of ``rows``, on its free set F (``free``
-    holds the rows' sets), with s = 0 off it.
-
-    The free blocks are gathered at the size of the largest free set, and
-    padding gets a unit diagonal and zeros elsewhere."""
-    size = free.sum(axis=1)
-    order = np.argsort(~free, axis=1, kind="stable")[:, : int(size.max())]
-    pad = np.arange(order.shape[1]) >= size[:, None]
-    system = gram[rows[:, None, None], order[:, :, None], order[:, None, :]]
-    system[pad[:, :, None] | pad[:, None, :]] = 0.0
-    diag = np.arange(order.shape[1])
-    system[:, diag, diag] += pad
-    out = np.zeros(free.shape)
-    solved = np.linalg.solve(system, (~pad).astype(float)[..., None])[..., 0]
-    np.put_along_axis(out, order, solved, axis=1)
-    return out
+    holds the rows' sets), with s = 0 off it: each clamped neighbor's row
+    and column are those of the identity, with a zero right-hand side."""
+    system = np.where(free[:, :, None] & free[:, None, :], gram[rows], 0.0)
+    diag = np.arange(free.shape[1])
+    system[:, diag, diag] += ~free
+    return np.linalg.solve(system, free.astype(float)[..., None])[..., 0]
 
 
 def _nonnegative_active_set(
@@ -179,22 +144,30 @@ def _local_weights(
     """Nonnegative weights of every point's local Gram system at once, from
     the (n, k, d) differences to its neighbors; returns (weights, fallback
     rows, unsettled rows). The unconstrained solution of G w = 1 is the
-    active set's starting point."""
+    active set's starting point.
+
+    A ridge r times the row's scale lifts every eigenvalue of G by exactly
+    that much. The structural ridge lifts the smallest above the singular
+    bound by itself, so only exact systems have their smallest eigenvalues
+    computed, and each row takes the first ridge of 0 and the
+    ``FALLBACK_RIDGES`` that lifts it."""
     n, k, _ = diffs.shape
+    gram = np.einsum("nid,njd->nij", diffs, diffs)
     scale = np.einsum("nkd,nkd->n", diffs, diffs) / k  # trace(G) / k
     scale[scale <= 0.0] = 1.0
-    ridge = STRUCTURAL_RIDGE * scale if structural else np.zeros(n)
-    gram = _gram(diffs, ridge)
-    fallback = pending = np.flatnonzero(_singular(gram, scale))
-    for eps in FALLBACK_RIDGES:
-        if pending.size == 0:
-            break
-        system = _gram(diffs[pending], ridge[pending] + eps * scale[pending])
-        ok = ~_singular(system, scale[pending])
-        gram[pending[ok]] = system[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+    if structural:
+        ridge = STRUCTURAL_RIDGE * scale
+        fallback = np.zeros(0, dtype=np.int64)
+    else:
+        ladder = np.array((0.0, *FALLBACK_RIDGES))
+        lowest = np.linalg.eigvalsh(gram)[:, 0] / scale
+        lifted = lowest[:, None] + ladder > SINGULAR_TOL  # NaN lifts nothing
+        if not lifted.any(axis=1).all():
+            raise np.linalg.LinAlgError("local Gram system could not be stabilized")
+        ridge = ladder[np.argmax(lifted, axis=1)] * scale
+        fallback = np.flatnonzero(ridge)
+    diag = np.arange(k)
+    gram[:, diag, diag] += ridge[:, None]
     solutions = np.linalg.solve(gram, np.ones((n, k, 1)))[..., 0]
     solutions, unsettled = _nonnegative_active_set(gram, solutions)
     return solutions / solutions.sum(axis=1, keepdims=True), fallback, unsettled

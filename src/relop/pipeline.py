@@ -141,11 +141,8 @@ def _read_vocab(path: Path) -> Vocabulary:
     return vocab
 
 
-def _class_mapping(*label_maps: dict[str, str]) -> list[str]:
-    names: set[str] = set()
-    for mapping in label_maps:
-        names.update(mapping.values())
-    return sorted(names)
+def _class_mapping(labels: dict[str, str]) -> list[str]:
+    return sorted(set(labels.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +504,7 @@ def stage_plot(config: PipelineConfig) -> dict:
     class_names = _read_entity_csv(truth_path) if truth_path.exists() else {}
     if not class_names.keys() >= set(ids):
         class_names = {}  # every state is drawn as class "state"
-    flat = mf.classical_mds(mf.pairwise_euclidean(coords), 2)
+    flat = mf.classical_mds(mf.pairwise_euclidean(coords), min(2, len(ids) - 1))
     flat = np.pad(flat, ((0, 0), (0, 2 - flat.shape[1])))  # a cloud of rank below 2
     sizes: dict[str, float] = {}
     summary_path = input_path(config, "state_summary.csv")

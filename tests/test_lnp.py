@@ -113,11 +113,21 @@ class TestReconstructionWeights:
         assert wm.weights[0][0] == pytest.approx(1.0, abs=1e-6)
         assert wm.weights[1][0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_the_ladder_is_read_at_call_time(self, monkeypatch):
+        """With no fallback ridge to climb, the coincident rows cannot be
+        lifted, so a patched ``FALLBACK_RIDGES`` reaches the solve."""
+        monkeypatch.setattr(lnp, "FALLBACK_RIDGES", ())
+        cloud = np.random.default_rng(13).uniform(0.0, 1.0, (12, 2)) + 10.0
+        pts = np.vstack([[[0.0, 0.0], [0.0, 0.0]], cloud])
+        with pytest.raises(np.linalg.LinAlgError, match="could not be stabilized"):
+            reconstruction_weights(pts, 2)
+
     def test_rank_deficient_gram_settles(self):
         """Point 0 mixes 22 points that span 15 of 50 dimensions, so its
-        22-neighbor Gram matrix has rank 15 and no Cholesky factor: the row
-        gets a fallback ridge, and the active set settles on an exact
-        reconstruction instead of cycling among singular free blocks."""
+        22-neighbor Gram matrix has rank 15 and a smallest eigenvalue of
+        zero up to rounding: the row gets a fallback ridge, and the active
+        set settles on an exact reconstruction instead of cycling among
+        singular free blocks."""
         rng = np.random.default_rng(0)
         others = rng.standard_normal((22, 15)) @ rng.standard_normal((15, 50))
         pts = np.vstack([rng.dirichlet(np.ones(22)) @ others, others])
@@ -130,10 +140,10 @@ class TestReconstructionWeights:
         assert wm.weights[0] @ diffs @ diffs.T @ wm.weights[0] < 1e-12
 
     def test_collinear_cloud_gets_the_simplex_optimum(self):
-        """Every 2-neighbor Gram matrix of collinear points is singular, yet
-        some still get a Cholesky factor through rounding; the pivot test
-        sends every row to a fallback ridge, so each settles on the
-        brute-force simplex optimum."""
+        """Every 2-neighbor Gram matrix of collinear points is singular,
+        though rounding can leave its smallest eigenvalue slightly positive;
+        the eigenvalue bound sends every row to a fallback ridge, so each
+        settles on the brute-force simplex optimum."""
         rng = np.random.default_rng(1000)
         pts = rng.standard_normal((34, 1)) @ rng.standard_normal((1, 2))
         with warnings.catch_warnings():
@@ -144,13 +154,17 @@ class TestReconstructionWeights:
             oracle = brute_force_lnp_weights(pts[i], pts[wm.indices[i]])
             np.testing.assert_allclose(wm.weights[i], oracle, atol=1e-6)
 
-    @pytest.mark.parametrize("seed,k", [(8, 6), (12, 8), (20, 7), (22, 6), (23, 6), (26, 7)])
+    @pytest.mark.parametrize(
+        "seed,k", [(8, 6), (12, 8), (13, 6), (20, 7), (22, 6), (23, 6), (26, 7)]
+    )
     def test_rank_five_clouds_in_50d_settle(self, seed, k):
         """k above the cloud's rank of 5, but below d = 50, so no structural
-        ridge: a Gram matrix singular up to rounding can still get a
-        Cholesky factor, and taken as regular it leaves a row unsettled or
-        off the simplex. The pivot test catches these, and every row meets
-        the KKT conditions of its simplex problem."""
+        ridge: a Gram matrix singular up to rounding, taken as regular,
+        leaves a row unsettled or off the simplex. Its smallest eigenvalue
+        is at most ``SINGULAR_TOL`` times its scale, so it gets a fallback
+        ridge, and every row meets the KKT conditions of its simplex
+        problem. At (13, 6) row 25's smallest eigenvalue is zero to rounding,
+        and without a ridge its active set did not settle."""
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 50))
         with warnings.catch_warnings():
@@ -199,6 +213,14 @@ class TestReconstructionWeights:
                     assert len(warned) == (wm.unsettled_rows.size > 0)
                     unsettled += wm.unsettled_rows.size > 0
         assert unsettled >= 170
+
+    def test_no_ridge_lifts_a_nan_row(self):
+        """A NaN coordinate leaves a Gram system with no smallest eigenvalue
+        that any ladder step lifts, and the solve says so."""
+        pts = np.random.default_rng(0).standard_normal((8, 2))
+        pts[3, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="could not be stabilized"):
+            reconstruction_weights(pts, 2)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -372,12 +394,14 @@ class TestUnfold:
 
     def test_weights_see_the_rank(self):
         """Above the rank, the structural ridge conditions every row, so no
-        row needs a fallback ridge; at or below it the rows that are
-        singular without the ridge still climb the ladder."""
+        row needs a fallback ridge; at or below it the rows whose smallest
+        eigenvalue is at most ``SINGULAR_TOL`` times the scale (9.0e-13 at
+        most here, against 1.05e-12 at least for every other row) still
+        climb the ladder."""
         pts = np.random.default_rng(3).standard_normal((24, 50))
         coords, _, _ = unfold(pts)
         fallback = {k: reconstruction_weights(coords, k).fallback_rows.size for k in range(2, 24)}
-        assert fallback == {k: {13: 2, 14: 17}.get(k, 0) for k in range(2, 24)}
+        assert fallback == {k: {12: 5, 13: 14, 14: 24}.get(k, 0) for k in range(2, 24)}
 
 
 def chain_weights(n):

@@ -601,7 +601,7 @@ class TestManifests:
         figures = ("scatter_states.svg", "error_curves.svg", "pne_curve.svg")
         for name in figures:
             Path(tmp_path, name).write_text("<svg/>")
-        Path(tmp_path, "points.tsv").write_text("state\tCA\t3\t0.1 0.")  # truncated row
+        Path(tmp_path, "points.tsv").write_text("state\tCA\t3\t0.1 x\n")  # non-numeric
         with pytest.raises(ValueError):
             run_stage("plot", config)
         assert [name for name in figures if Path(tmp_path, name).exists()] == []
@@ -621,10 +621,13 @@ class TestManifests:
         outputs = _manifest(tmp_path)[-1]["outputs"]
         assert [Path(path).name for path in outputs] == ["scatter_states.svg"]
 
-    def test_plot_draws_a_collinear_cloud(self, tmp_path):
-        """Three collinear states have one MDS axis; the scatter pads the
-        second with zeros, draws every state and warns about nothing."""
-        names = ("AK", "HI", "ME")
+    @pytest.mark.parametrize(
+        "names", [("AK",), ("AK", "HI"), ("AK", "HI", "ME")], ids=["one", "two", "three"]
+    )
+    def test_plot_draws_a_collinear_cloud(self, tmp_path, names):
+        """One, two or three collinear states have at most one MDS axis; the
+        scatter pads the second with zeros, draws every state and warns
+        about nothing."""
         Path(tmp_path, "points.tsv").write_text(
             "".join(f"state\t{name}\t1\t{i}.0 {2 * i}.0 0.5\n" for i, name in enumerate(names))
         )
