@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,11 +64,10 @@ class WeightMatrix:
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The (len(rows), n) dense form of ``rows`` (every row by default)."""
-        rows = np.arange(self.n_points) if rows is None else rows
-        out = np.zeros((rows.size, self.n_points))
-        np.add.at(out, (np.arange(rows.size)[:, None], self.indices[rows]), self.weights[rows])
+    def dense(self) -> np.ndarray:
+        """The (n, n) dense form."""
+        out = np.zeros((self.n_points, self.n_points))
+        np.add.at(out, (np.arange(self.n_points)[:, None], self.indices), self.weights)
         return out
 
 
@@ -260,61 +260,78 @@ def unfold(
     return _memoized("unfold", points, (iters, tol), run)
 
 
-def _reaching_rows(weight_matrix: WeightMatrix, labeled: np.ndarray) -> np.ndarray:
-    """Unlabeled rows joined to some labeled row by a path of nonzero
-    weights; a frontier grown backwards from the labels over the index array."""
-    linked = weight_matrix.weights != 0.0
-    reached = labeled.copy()
+def _closure(dense: np.ndarray) -> np.ndarray:
+    """(n, n) float32 matrix whose [i, j] is 1 when a path of nonzero
+    entries of ``dense`` leads from row i to row j, and 0 otherwise: the
+    transitive closure by repeated boolean squaring (path counts in float32
+    are exact integers for n up to 2^24, so only their sign is used)."""
+    closure = (dense != 0.0).astype(np.float32)
     while True:
-        grown = ~reached & (linked & reached[weight_matrix.indices]).any(axis=1)
-        if not grown.any():
-            return np.flatnonzero(reached & ~labeled)
-        reached |= grown
+        grown = np.maximum(closure, (closure @ closure > 0.0).astype(np.float32))
+        if np.array_equal(grown, closure):
+            return closure
+        closure = grown
 
 
 def propagate(
     weight_matrix: WeightMatrix,
-    initial_labels: Mapping[int, int],
+    initial_labels: Mapping[int, int] | Sequence[Mapping[int, int]],
     n_classes: int,
     tol: float = 1e-9,
     tally: Counter | None = None,
 ) -> np.ndarray:
-    """The fixed point of label reconstruction, solved directly.
+    """The fixed point of label reconstruction, solved directly, for one
+    label map (scores of shape (n, c)) or a sequence of B maps on the same
+    weights (a (B, n, c) stack; one map is a stack of one).
 
     Labeled rows stay clamped to their one-hot vectors. Unlabeled rows that
     reach a label through nonzero weights solve (I - W_RR) L_R = W_Rl L_l;
     the rest stay exactly zero, as they do when the reconstruction is
     iterated from zero. Rows are nonnegative and sum to one, and each
     reached row has a path of positive weights to a label, so W_RR has
-    spectral radius below one and I - W_RR is nonsingular. A fixed-point
-    residual above ``tol`` is warned about; ``tally``, when given, records
-    it as ``propagate_residual`` (0.0 when no row is reached).
+    spectral radius below one and I - W_RR is nonsingular. Reachability is
+    decided once for all maps (``_closure``), and the maps whose reached
+    sets have one size share one stacked solve. A map's fixed-point
+    residual above ``tol`` is warned about; ``tally``, when given, keeps the
+    largest residual of all maps (0.0 when no row is reached) as
+    ``propagate_residual``, or a larger one it already holds.
     """
+    single = isinstance(initial_labels, Mapping)
+    maps = [initial_labels] if single else list(initial_labels)
     n = weight_matrix.n_points
-    labels = np.zeros((n, n_classes))
-    for i, c in initial_labels.items():
-        if not (0 <= c < n_classes):
-            raise ValueError(f"class {c} out of range")
-        labels[i, c] = 1.0
-    labeled = np.zeros(n, dtype=bool)
-    labeled[list(initial_labels)] = True
-    rows = _reaching_rows(weight_matrix, labeled)
+    owner = np.repeat(np.arange(len(maps)), [len(m) for m in maps])
+    points = np.fromiter(chain.from_iterable(maps), np.int64, owner.size)
+    classes = np.fromiter(chain.from_iterable(m.values() for m in maps), np.int64, owner.size)
+    outside = (classes < 0) | (classes >= n_classes)
+    if outside.any():
+        raise ValueError(f"class {classes[outside][0]} out of range")
+    labels = np.zeros((len(maps), n, n_classes))
+    labels[owner, points, classes] = 1.0
+    labeled = labels.any(axis=2)
+    dense = weight_matrix.dense()
+    reached = ~labeled & (labeled.astype(np.float32) @ _closure(dense).T > 0.0)
+    sizes = reached.sum(axis=1)
+    residuals = np.zeros(len(maps))
+    for size in sorted(set(sizes.tolist()) - {0}):
+        group = np.flatnonzero(sizes == size)
+        rows = np.nonzero(reached[group])[1].reshape(group.size, size)
+        # each draw's reached block: L_R = W_RR L_R + W_Rl L_l. Each W_RR is
+        # column-major, the layout of a column gather ``block[:, rows]``:
+        # matmul rounds by layout, and the residual keeps that gather's bits
+        w_rr = dense[rows[:, None, :], rows[:, :, None]].transpose(0, 2, 1)
+        bias = dense[rows] @ labels[group]  # unlabeled rows of ``labels`` are still zero
+        solved = np.linalg.solve(np.eye(size) - w_rr, bias)
+        residuals[group] = np.abs(w_rr @ solved + bias - solved).max(axis=(1, 2))
+        labels[group[:, None], rows] = solved
+    for residual in residuals.tolist():
+        if not residual <= tol:  # NaN too
+            warnings.warn(
+                f"label propagation fixed-point residual {residual:.3e} exceeds tol {tol:g}"
+            )
     if tally is not None:
-        tally["propagate_residual"] = 0.0
-    if rows.size == 0:
-        return labels
-    # dense rows of the reached block: L_R = W_RR L_R + W_Rl L_l
-    dense = weight_matrix.dense(rows)
-    w_rr = dense[:, rows]
-    bias = dense @ labels  # unlabeled rows of ``labels`` are still zero
-    solved = np.linalg.solve(np.eye(rows.size) - w_rr, bias)
-    residual = float(np.abs(w_rr @ solved + bias - solved).max())
-    if not residual <= tol:  # NaN too
-        warnings.warn(f"label propagation fixed-point residual {residual:.3e} exceeds tol {tol:g}")
-    if tally is not None:
-        tally["propagate_residual"] = residual
-    labels[rows] = solved
-    return labels
+        worst = residuals.max(initial=0.0)  # NaN too
+        tally["propagate_residual"] = float(np.maximum(worst, tally.get("propagate_residual", 0.0)))
+    return labels[0] if single else labels
 
 
 def lle_embedding(weight_matrix: WeightMatrix, dim: int) -> np.ndarray:
@@ -422,10 +439,12 @@ def sensitivity_sweep(
     class count raises ``ValueError``; errors are counted on unlabeled
     entities only. The geodesic metric works on one ``unfold`` of the cloud,
     and each metric's weights are solved once per k, so the runs differ
-    only in their label draws. Every cell is reproducible from ``seed``.
-    ``tally``, when given, gains the ``fallback_rows`` and
-    ``unsettled_rows`` of every weight matrix solved, and the unfold's
-    ``unfold_iters`` and ``unfold_stop``.
+    only in their label draws: every draw is made first, then each (metric,
+    k) propagates all of them in one ``propagate`` call. Every cell is
+    reproducible from ``seed``. ``tally``, when given, gains the
+    ``fallback_rows`` and ``unsettled_rows`` of every weight matrix solved,
+    the unfold's ``unfold_iters`` and ``unfold_stop``, and the largest
+    ``propagate_residual`` of any draw.
     """
     points = np.asarray(points, dtype=float)
     truth = np.asarray(truth, dtype=np.int64)
@@ -444,19 +463,21 @@ def sensitivity_sweep(
         weights_by_k = {k: reconstruction_weights(cloud, k) for k in ks}
         for wm in weights_by_k.values():
             _count_rows(tally, wm)
+        cells, initials = [], []  # (run, label_count) and its draw, in row order
         for run in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence([seed, metric_id, run]))
             for label_count in sorted(label_counts):
-                initial = _draw_balanced_labels(truth, label_count, n_classes, rng)
-                unlabeled = np.array(
-                    [i for i in range(n) if i not in initial], dtype=np.int64
-                )
-                for k in ks:
-                    soft = propagate(weights_by_k[k], initial, n_classes, tol=propagate_tol)
-                    scores = soft[unlabeled]
-                    errors = int((np.argmax(scores, axis=1) != truth[unlabeled]).sum())
-                    unreached = int((~scores.any(axis=1)).sum())
-                    rows.append(SweepRow(metric, label_count, k, run, errors, unreached))
+                cells.append((run, label_count))
+                initials.append(_draw_balanced_labels(truth, label_count, n_classes, rng))
+        unlabeled = np.array([[i not in initial for i in range(n)] for initial in initials])
+        errors, unreached = [], []  # per k, one count per draw
+        for k in ks:
+            soft = propagate(weights_by_k[k], initials, n_classes, tol=propagate_tol, tally=tally)
+            errors.append((unlabeled & (np.argmax(soft, axis=2) != truth)).sum(axis=1).tolist())
+            unreached.append((unlabeled & ~soft.any(axis=2)).sum(axis=1).tolist())
+        for b, (run, label_count) in enumerate(cells):
+            for j, k in enumerate(ks):
+                rows.append(SweepRow(metric, label_count, k, run, errors[j][b], unreached[j][b]))
     return rows
 
 

@@ -111,13 +111,16 @@ def forward(model: OoweModel, indices) -> np.ndarray:
 
 
 def corrupt(indices: np.ndarray, vocab_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Replace the center token with a uniformly random different index."""
+    """Replace the center token of a window, or of each row of an (m, w)
+    stack of windows, with a uniformly random different index. A stack
+    takes its m draws in one ``rng.integers`` call, which yields the same
+    stream as m single-window calls."""
     if vocab_size < 2:
         raise ValueError("corruption needs a vocabulary of at least 2")
     out = np.array(indices, dtype=np.int64)
-    center = len(out) // 2
-    draw = int(rng.integers(vocab_size - 1))
-    out[center] = draw + 1 if draw >= out[center] else draw
+    center = out.shape[-1] // 2
+    draw = rng.integers(vocab_size - 1, size=out.shape[:-1])
+    out[..., center] = draw + (draw >= out[..., center])
     return out
 
 
@@ -389,10 +392,12 @@ def train(
 ) -> tuple[OoweModel, list[float]]:
     """Train the embedding over shuffled windows; returns (model, epoch losses).
 
-    One corruption is drawn per window visit. Training is a sequential
-    single-writer loop of fused steps (``_fused_step``), bitwise equal to
-    ``gradients``, ``loss`` and ``adagrad_step`` applied visit by visit, so
-    results are reproducible for a fixed seed.
+    One corruption is drawn per window visit; each epoch draws its
+    corruptions in one ``corrupt`` call after its permutation, the same
+    stream as one call per visit. Training is a sequential single-writer
+    loop of fused steps (``_fused_step``), bitwise equal to ``gradients``,
+    ``loss`` and ``adagrad_step`` applied visit by visit, so results are
+    reproducible for a fixed seed.
     """
     if not training_set.examples:
         raise ValueError("training set is empty")
@@ -425,10 +430,10 @@ def train(
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(ngrams.shape[0])
+        corrupted = corrupt(ngrams[order], vocab_size, rng)
         total = 0.0
-        for pos in order.tolist():
-            t = ngrams[pos]
-            total += step(t, corrupt(t, vocab_size, rng), cat_list[pos])
+        for pos, t_r in zip(order.tolist(), corrupted):
+            total += step(ngrams[pos], t_r, cat_list[pos])
         # numpy scalars, as the reference loop returns (train_log.csv writes their repr)
         epoch_losses.append(np.float64(total) / ngrams.shape[0])
     return model, epoch_losses

@@ -303,6 +303,7 @@ def stage_train(config: PipelineConfig) -> dict:
     return {
         "examples": len(training.examples),
         "vocab_size": len(vocab),
+        "window_visits": config.epochs * sum(len(tokens) for tokens, _ in training.examples),
         "final_loss": round(losses[-1], 6),
     }
 
@@ -454,7 +455,7 @@ def stage_sweep(config: PipelineConfig) -> dict:
         "rows": len(rows),
         "k_values": len(ks),
         "unreached_rows": sum(r.unreached for r in rows),
-        **tally,  # fallback and unsettled rows, and the unfold's stop
+        **tally,  # fallback and unsettled rows, the unfold's stop, and the residual
         **_reuse_counts(hits),
     }
 

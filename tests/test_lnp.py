@@ -432,8 +432,6 @@ class TestLleEmbedding:
             for j, w in zip(wm.indices[i], wm.weights[i]):
                 expected[i, j] += w
         np.testing.assert_array_equal(wm.dense(), expected)
-        rows = np.array([20, 3, 7])
-        np.testing.assert_array_equal(wm.dense(rows), expected[rows])
 
     def test_skips_every_closed_class(self):
         # two far clusters: the weight graph has (at least) two closed
@@ -492,6 +490,34 @@ class TestPropagate:
         assert (labels[2:5].sum(axis=1) < 0.9).all()
         oracle = harmonic_iterate(indices, weights, initial, 2)
         np.testing.assert_allclose(labels, oracle, atol=1e-8)
+
+    def test_stacked_maps_match_one_map_calls(self):
+        """Maps whose reached sets have 3, 4, 4, 6 and 7 rows on
+        ``test_closed_unlabeled_class``'s matrix go through one call: each
+        slice is bitwise the one-map call, the iterated oracle agrees, and
+        rows no label reaches stay exactly zero."""
+        indices = np.array(
+            [[1, 2], [0, 3], [0, 5], [1, 6], [2, 3], [6, 7], [5, 7], [5, 6]]
+        )
+        weights = np.array(
+            [[0.5, 0.5], [0.5, 0.5], [0.6, 0.4], [0.7, 0.3],
+             [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+        )
+        wm = WeightMatrix(indices, weights)
+        maps = [{0: 0, 1: 1}, {0: 1}, {5: 0}, {3: 0}, {6: 1, 7: 0}]
+        unreached = [{5, 6, 7}, {5, 6, 7}, set(), {5, 6, 7}, set()]
+        tally = Counter()
+        stack = propagate(wm, maps, 2, tally=tally)
+        assert stack.shape == (5, 8, 2)
+        residuals = []
+        for labels, initial, zero in zip(stack, maps, unreached):
+            one = Counter()
+            assert labels.tobytes() == propagate(wm, initial, 2, tally=one).tobytes()
+            residuals.append(one["propagate_residual"])
+            oracle = harmonic_iterate(indices, weights, initial, 2)
+            np.testing.assert_allclose(labels, oracle, atol=1e-8)
+            assert set(np.flatnonzero(~labels.any(axis=1)).tolist()) == zero
+        assert tally["propagate_residual"] == max(residuals)
 
     def test_labeled_rows_clamped(self):
         wm = chain_weights(6)
@@ -605,6 +631,21 @@ class TestSensitivitySweep:
             ("euclidean", 4, 2), ("euclidean", 4, 3),
             ("geodesic", 4, 2), ("geodesic", 4, 3),
         }
+
+    def test_one_propagate_call_per_metric_and_k(self, moons, monkeypatch):
+        """Every label draw of a (metric, k) goes through one call."""
+        calls = []
+        original = lnp.propagate
+
+        def counted(wm, initial_labels, *args, **kwargs):
+            calls.append(len(initial_labels))
+            return original(wm, initial_labels, *args, **kwargs)
+
+        monkeypatch.setattr(lnp, "propagate", counted)
+        ks = [2, 3, 5]
+        rows = sensitivity_sweep(moons.points, moons.classes, [4, 8], ks, runs=3, seed=1)
+        assert calls == [3 * 2] * (2 * len(ks))
+        assert len(rows) == 2 * 3 * 2 * len(ks)
 
     def test_budget_below_class_count_rejected(self, moons):
         """A budget of one label for two classes draws no label at all."""

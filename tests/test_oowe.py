@@ -127,6 +127,27 @@ class TestCorrupt:
         assert chisquare(observed).pvalue > 0.01
 
 
+class TestCorruptionStream:
+    @pytest.mark.parametrize("vocab_size", [2, 3, 174, 2**31, 2**32 + 5])
+    def test_epoch_draws_equal_scalar_draws(self, vocab_size):
+        """What ``train`` relies on: after an epoch's permutation, one
+        ``integers(V - 1, size=n)`` call yields the n scalar draws of a
+        visit-by-visit loop and leaves the generator in the same state."""
+        n = 37
+        for seed in range(20):
+            batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert batch.permutation(n).tolist() == scalar.permutation(n).tolist()
+            drawn = batch.integers(vocab_size - 1, size=n).tolist()
+            assert drawn == [int(scalar.integers(vocab_size - 1)) for _ in range(n)]
+            assert batch.bit_generator.state == scalar.bit_generator.state
+
+    def test_stack_matches_window_by_window(self):
+        windows = np.random.default_rng(3).integers(0, 50, (40, 5))
+        stacked = corrupt(windows, 50, np.random.default_rng(4))
+        one = np.random.default_rng(4)
+        assert stacked.tolist() == [corrupt(t, 50, one).tolist() for t in windows]
+
+
 def quiet_model():
     """A model whose language and opinion hinges are both strictly inactive
     for the window pair ([1,0,2], [1,3,2]) with gold category 1."""
@@ -394,6 +415,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="single category"):
             train(training, vocab, OoweConfig(categories=1, alpha=0.5, epochs=1))
         assert visits == []
+
+    def test_one_token_vocabulary_rejected(self):
+        """No different index exists to corrupt a window with."""
+
+        class OneToken:
+            def __len__(self):
+                return 1
+
+            def lookup(self, token):
+                return 0
+
+        training = toy_training_set(n=4)
+        with pytest.raises(ValueError, match="at least 2"):
+            train(training, OneToken(), OoweConfig(categories=2, epochs=1))
 
     def test_single_example_margin_saturates(self):
         """With alpha=1 the opinion margin grows until the hinge goes quiet."""

@@ -19,6 +19,7 @@ from relop.config import (
     load_config,
     stage_seed,
 )
+from relop.hashtags import read_training_set
 from relop.pipeline import (
     CHAIN,
     DataError,
@@ -289,6 +290,15 @@ class TestPipelineChain:
         assert records["hashtag-net"]["lpa_sweeps"] >= 1
         assert records["hashtag-net"]["lpa_settled"] is True
         assert 0.0 <= records["predict"]["propagate_residual"] <= PipelineConfig().propagate_tol
+        assert 0.0 <= records["sweep"]["propagate_residual"] <= PipelineConfig().propagate_tol
+
+    def test_train_counts_its_window_visits(self, chain_dirs):
+        """One window per token of every example, visited once an epoch."""
+        workdir = Path(chain_dirs["a"])
+        training = read_training_set(workdir / "training_set.tsv")
+        windows = sum(len(tokens) for tokens, _ in training.examples)
+        counts = {r["stage"]: r["counts"] for r in _manifest(workdir)}["train"]
+        assert counts["window_visits"] == SMALL["epochs"] * windows > 0
 
     def test_aggregate_counts_the_oov_rate(self, chain_dirs):
         workdir = Path(chain_dirs["a"])
